@@ -1,47 +1,27 @@
-"""JIT-compiled inner loops with a pure-numpy fallback.
+"""Numeric inner loops: joint-histogram accumulation, RBF kernel matrices,
+1-NN search and the SMO solver, in plain numpy.
 
-The hot kernels (joint-histogram accumulation, the SMO solver, RBF kernel
-matrices and 1-NN search) are compiled with numba when it is importable.
-Set ``IGBS_NUMBA=0`` to force the numpy path; ``benchmarks/bench_kernels.py``
-times the two side by side.
-
-Both paths implement identical algorithms with identical tie-breaking, so a
-given path is fully deterministic; across paths results may differ by
-floating-point rounding only.
+Callers reach these through ``accel.<fn>`` attribute lookups, so a profiler
+or a test can swap one out at module level. Every kernel breaks ties toward
+the lowest index and is fully deterministic.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _NUMBA_OK = False
-
-USE_NUMBA = _NUMBA_OK and os.environ.get("IGBS_NUMBA", "1") != "0"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def hist2d_np(x, y, ax, ay):
+def hist2d(x, y, ax, ay):
     flat = np.bincount(x * ay + y, minlength=ax * ay)
     return flat.reshape(ax, ay).astype(np.int64, copy=False)
 
 
-def hist3d_np(x, y, z, ax, ay, az):
+def hist3d(x, y, z, ax, ay, az):
     flat = np.bincount((x * ay + y) * az + z, minlength=ax * ay * az)
     return flat.reshape(ax, ay, az).astype(np.int64, copy=False)
 
 
-def rbf_kernel_np(a, b, gamma):
+def rbf_kernel(a, b, gamma):
     # ||a-b||^2 = |a|^2 + |b|^2 - 2 a.b ; clip guards tiny negative round-off
     sq = (
         np.einsum("ij,ij->i", a, a)[:, None]
@@ -52,7 +32,7 @@ def rbf_kernel_np(a, b, gamma):
     return np.exp(-gamma * sq)
 
 
-def nn1_index_np(train, test):
+def nn1_index(train, test):
     out = np.empty(test.shape[0], dtype=np.int64)
     # chunk test rows so the distance block stays small
     step = max(1, 4_000_000 // max(train.shape[0] * train.shape[1], 1))
@@ -63,7 +43,7 @@ def nn1_index_np(train, test):
     return out
 
 
-def smo_solve_np(kernel, y, c, tol, max_iter):
+def smo_solve(kernel, y, c, tol, max_iter):
     n = y.shape[0]
     alpha = np.zeros(n)
     u = np.zeros(n)  # decision values without bias
@@ -105,140 +85,3 @@ def smo_solve_np(kernel, y, c, tol, max_iter):
         it += 1
     bias = 0.5 * (m_val + big_m)
     return alpha, bias, it, m_val - big_m
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _NUMBA_OK:
-
-    @njit(cache=True)
-    def hist2d_nb(x, y, ax, ay):
-        h = np.zeros((ax, ay), dtype=np.int64)
-        for t in range(x.shape[0]):
-            h[x[t], y[t]] += 1
-        return h
-
-    @njit(cache=True)
-    def hist3d_nb(x, y, z, ax, ay, az):
-        h = np.zeros((ax, ay, az), dtype=np.int64)
-        for t in range(x.shape[0]):
-            h[x[t], y[t], z[t]] += 1
-        return h
-
-    @njit(cache=True)
-    def rbf_kernel_nb(a, b, gamma):
-        na, nd = a.shape
-        nb_ = b.shape[0]
-        out = np.empty((na, nb_))
-        for i in range(na):
-            for j in range(nb_):
-                sq = 0.0
-                for d in range(nd):
-                    diff = a[i, d] - b[j, d]
-                    sq += diff * diff
-                out[i, j] = math.exp(-gamma * sq)
-        return out
-
-    @njit(cache=True)
-    def nn1_index_nb(train, test):
-        out = np.empty(test.shape[0], dtype=np.int64)
-        for t in range(test.shape[0]):
-            best = np.inf
-            best_i = 0
-            for r in range(train.shape[0]):
-                sq = 0.0
-                for d in range(train.shape[1]):
-                    diff = test[t, d] - train[r, d]
-                    sq += diff * diff
-                if sq < best:
-                    best = sq
-                    best_i = r
-            out[t] = best_i
-        return out
-
-    @njit(cache=True)
-    def smo_solve_nb(kernel, y, c, tol, max_iter):
-        n = y.shape[0]
-        alpha = np.zeros(n)
-        u = np.zeros(n)
-        m_val = 0.0
-        big_m = 0.0
-        it = 0
-        while it < max_iter:
-            m_val = -np.inf
-            big_m = np.inf
-            i = -1
-            j = -1
-            for t in range(n):
-                g = y[t] - u[t]
-                if (y[t] > 0.0 and alpha[t] < c) or (y[t] < 0.0 and alpha[t] > 0.0):
-                    if g > m_val:
-                        m_val = g
-                        i = t
-                if (y[t] > 0.0 and alpha[t] > 0.0) or (y[t] < 0.0 and alpha[t] < c):
-                    if g < big_m:
-                        big_m = g
-                        j = t
-            if i < 0 or j < 0:
-                break
-            if m_val - big_m <= tol:
-                break
-            eta = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
-            if eta <= 0.0:
-                eta = 1e-12
-            d = -y[j] * (m_val - big_m) / eta
-            s = y[i] * y[j]
-            if s > 0:
-                lo = max(-alpha[j], alpha[i] - c)
-                hi = min(c - alpha[j], alpha[i])
-            else:
-                lo = max(-alpha[j], -alpha[i])
-                hi = min(c - alpha[j], c - alpha[i])
-            if d < lo:
-                d = lo
-            elif d > hi:
-                d = hi
-            if d == 0.0:
-                break
-            alpha[j] += d
-            alpha[i] -= s * d
-            alpha[j] = min(max(alpha[j], 0.0), c)
-            alpha[i] = min(max(alpha[i], 0.0), c)
-            for t in range(n):
-                u[t] += (-s * d) * y[i] * kernel[i, t] + d * y[j] * kernel[j, t]
-            it += 1
-        bias = 0.5 * (m_val + big_m)
-        return alpha, bias, it, m_val - big_m
-
-
-NUMPY_IMPL = {
-    "hist2d": hist2d_np,
-    "hist3d": hist3d_np,
-    "rbf_kernel": rbf_kernel_np,
-    "nn1_index": nn1_index_np,
-    "smo_solve": smo_solve_np,
-}
-
-NUMBA_IMPL = (
-    {
-        "hist2d": hist2d_nb,
-        "hist3d": hist3d_nb,
-        "rbf_kernel": rbf_kernel_nb,
-        "nn1_index": nn1_index_nb,
-        "smo_solve": smo_solve_nb,
-    }
-    if _NUMBA_OK
-    else None
-)
-
-_ACTIVE = NUMBA_IMPL if USE_NUMBA else NUMPY_IMPL
-
-hist2d = _ACTIVE["hist2d"]
-hist3d = _ACTIVE["hist3d"]
-nn1_index = _ACTIVE["nn1_index"]
-smo_solve = _ACTIVE["smo_solve"]
-# the BLAS route wins for the kernel matrix at every size we care about
-# (see benchmarks/bench_kernels.py), so both paths share it
-rbf_kernel = rbf_kernel_np

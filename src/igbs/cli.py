@@ -18,7 +18,7 @@ from . import raster
 from .datamodel import quantize_cube
 from .errors import ConfigError, DataError, MethodError
 from .pipeline import load_dataset, run_compare
-from .report import RunConfig
+from .report import RunConfig, read_json_config
 from .selection import METHODS, build_estimated_gt, greedy_select
 from .synth import SynthSpec, generate_cube
 
@@ -49,7 +49,7 @@ def _add_run_flags(sub):
 def _config_from_args(args, methods) -> RunConfig:
     raw = {}
     if args.config:
-        raw.update(RunConfig.from_json(args.config).to_dict())
+        raw.update(read_json_config(args.config))
     for name in _CONFIG_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
@@ -105,11 +105,7 @@ def cmd_compare(args) -> int:
 def cmd_synth(args) -> int:
     raw = {}
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot parse config {args.config}: {exc}") from exc
+        raw.update(read_json_config(args.config))
     for name in ("rows", "cols", "bands", "classes", "noise_sigma",
                  "class_separation", "seed"):
         value = getattr(args, name, None)
@@ -137,22 +133,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.bands:
-        if not args.cube:
-            raise ConfigError("--bands needs --cube to build the estimated map")
-        header = args.cube if args.cube.endswith(".hdr.json") else args.cube + ".hdr.json"
-        cube = raster.load_cube(header)
+    if args.bands and not args.cube:
+        raise ConfigError("--bands needs --cube to build the estimated map")
+    if args.cube:
+        cube = raster.load_cube(raster.cube_header_path(args.cube))
         gt = raster.load_gt(args.gt, rows=cube.rows, cols=cube.cols)
-        bands = [int(b) for b in args.bands.split(",") if b.strip()]
+    else:
+        gt = raster.load_gt(args.gt)
+    if args.bands:
+        try:
+            bands = [int(b) for b in args.bands.split(",") if b.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad --bands {args.bands!r}: {exc}") from exc
         est = build_estimated_gt(quantize_cube(cube, args.levels), gt, bands)
         grid = raster.series_to_grid(est.symbols, gt, offset=1)
     else:
-        if args.cube:
-            header = args.cube if args.cube.endswith(".hdr.json") else args.cube + ".hdr.json"
-            cube = raster.load_cube(header)
-            gt = raster.load_gt(args.gt, rows=cube.rows, cols=cube.cols)
-        else:
-            gt = raster.load_gt(args.gt)
         grid = gt.labels
     raster.export_map(grid, args.out)
     print(f"wrote {args.out}")

@@ -22,8 +22,7 @@ from .selection import greedy_select
 def load_dataset(config: RunConfig) -> tuple[HyperCube, GroundTruth]:
     if not config.cube or not config.gt:
         raise ConfigError("cube and gt paths are required")
-    header = config.cube if config.cube.endswith(".hdr.json") else config.cube + ".hdr.json"
-    cube = raster.load_cube(header)
+    cube = raster.load_cube(raster.cube_header_path(config.cube))
     gt = raster.load_gt(config.gt, rows=cube.rows, cols=cube.cols)
     return cube, gt
 
@@ -57,7 +56,7 @@ def run_method(
     features = band_features(qcube, gt, selection.selected)
     labels = label_series(gt).symbols
     train_x, train_y = features[split.train_idx], labels[split.train_idx]
-    test_x, test_y = features[split.test_idx], labels[split.test_idx]
+    test_y = labels[split.test_idx]
 
     if config.classifier == "svm":
         gamma = config.svm_gamma
@@ -67,11 +66,11 @@ def run_method(
         model = classify.train_svm(
             train_x, train_y, c=config.svm_c, gamma=gamma, tol=config.svm_tol
         )
-        test_pred = classify.predict(model, test_x)
         full_pred = classify.predict(model, features)
     else:
-        test_pred = classify.knn_predict(train_x, train_y, test_x)
         full_pred = classify.knn_predict(train_x, train_y, features)
+    # the test pixels are a subset of the labeled scene: predict once, slice
+    test_pred = full_pred[split.test_idx]
 
     params = {
         "method": method,

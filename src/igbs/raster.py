@@ -72,6 +72,11 @@ def _read_header(path: str) -> CubeHeader:
         raise DataError(f"incomplete header {path}: {exc}") from exc
 
 
+def cube_header_path(path: str) -> str:
+    """The ``.hdr.json`` header for a cube given by base path or header path."""
+    return path if path.endswith(".hdr.json") else path + ".hdr.json"
+
+
 def load_cube(header_path: str, raw_path: str | None = None) -> HyperCube:
     """Decode a band-sequential cube; u16 samples widen to float."""
     header = _read_header(header_path)

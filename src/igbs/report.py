@@ -11,10 +11,11 @@ config that reproduces it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .datamodel import MAX_LEVELS
 from .errors import ConfigError
 from .selection import (
     DEFAULT_BETA,
@@ -25,6 +26,59 @@ from .selection import (
 )
 
 CLASSIFIERS = ("svm", "1nn")
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _optional(cast):
+    return lambda value: None if value is None else cast(value)
+
+
+def _methods(value) -> tuple:
+    if isinstance(value, str):
+        value = value.split(",")
+    if not all(isinstance(m, str) for m in value):
+        raise TypeError(f"expected a string or a sequence of strings, got {value!r}")
+    return tuple(m.strip().upper() for m in value if m.strip())
+
+
+# how each RunConfig field is coerced; a failed cast becomes ConfigError
+_CASTS = {
+    "cube": _optional(_text),
+    "gt": _optional(_text),
+    "methods": _methods,
+    "k": int,
+    "levels": int,
+    "beta": float,
+    "threshold": float,
+    "lam": float,
+    "classifier": _text,
+    "svm_c": float,
+    "svm_gamma": _optional(float),
+    "svm_tol": float,
+    "fraction": float,
+    "seed": int,
+    "out": _text,
+}
+
+# report keys that differ from the field names, and the report's None markers
+_REPORT_KEYS = {"methods": "method", "lam": "lambda"}
+_REPORT_NONE = {"cube": "-", "gt": "-", "svm_gamma": "auto"}
+
+
+def read_json_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return raw
 
 
 @dataclass
@@ -46,24 +100,33 @@ class RunConfig:
     out: str = "run"
 
     def __post_init__(self):
-        if isinstance(self.methods, str):
-            self.methods = tuple(m.strip() for m in self.methods.split(",") if m.strip())
-        self.methods = tuple(m.upper() for m in self.methods)
+        """The one place a run's configuration is checked: every field is
+        coerced to its type, and anything malformed raises ConfigError."""
+        for name, cast in _CASTS.items():
+            try:
+                setattr(self, name, cast(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad {name}: {exc}") from exc
         unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ConfigError(f"unknown methods {unknown}, expected subset of {METHODS}")
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        if self.classifier not in CLASSIFIERS:
-            raise ConfigError(
-                f"unknown classifier {self.classifier!r}, expected one of {CLASSIFIERS}"
-            )
-        for name in ("k", "levels", "seed"):
-            setattr(self, name, int(getattr(self, name)))
-        for name in ("beta", "threshold", "lam", "svm_c", "svm_tol", "fraction"):
-            setattr(self, name, float(getattr(self, name)))
-        if self.svm_gamma is not None:
-            self.svm_gamma = float(self.svm_gamma)
+        # written so that NaN fails every range check
+        checks = (
+            (not unknown, f"unknown methods {unknown}, expected subset of {METHODS}"),
+            (bool(self.methods), "at least one method is required"),
+            (self.classifier in CLASSIFIERS,
+             f"unknown classifier {self.classifier!r}, expected one of {CLASSIFIERS}"),
+            (self.k >= 1, f"k must be >= 1, got {self.k}"),
+            (2 <= self.levels <= MAX_LEVELS,
+             f"levels must be in [2, {MAX_LEVELS}], got {self.levels}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            (0.0 < self.fraction < 1.0, f"fraction must be in (0, 1), got {self.fraction}"),
+            (self.svm_c > 0.0, f"svm_c must be > 0, got {self.svm_c}"),
+            (self.svm_tol > 0.0, f"svm_tol must be > 0, got {self.svm_tol}"),
+            (self.svm_gamma is None or self.svm_gamma > 0.0,
+             f"svm_gamma must be > 0, got {self.svm_gamma}"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -75,12 +138,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json_config(path))
 
     @classmethod
     def from_report(cls, path: str) -> "RunConfig":
@@ -96,25 +154,16 @@ class RunConfig:
                 values[key.strip()] = value.strip()
         if "method" not in values:
             raise ConfigError(f"{path} does not look like a method report")
-        return cls(
-            cube=None if values.get("cube") == "-" else values.get("cube"),
-            gt=None if values.get("gt") == "-" else values.get("gt"),
-            methods=(values["method"],),
-            k=int(values["k"]),
-            levels=int(values["levels"]),
-            beta=float(values["beta"]),
-            threshold=float(values["threshold"]),
-            lam=float(values["lambda"]),
-            classifier=values["classifier"],
-            svm_c=float(values["svm_c"]),
-            svm_gamma=None if values["svm_gamma"] == "auto" else float(values["svm_gamma"]),
-            svm_tol=float(values["svm_tol"]),
-            fraction=float(values["fraction"]),
-            seed=int(values["seed"]),
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        raw = {}
+        for name in _CASTS:
+            if name == "out":  # reports do not record where they were written
+                continue
+            key = _REPORT_KEYS.get(name, name)
+            if key not in values:
+                raise ConfigError(f"{path}: report has no {key!r} line")
+            value = values[key]
+            raw[name] = None if value == _REPORT_NONE.get(name) else value
+        return cls(**raw)
 
 
 @dataclass

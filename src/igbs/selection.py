@@ -26,7 +26,7 @@ from .datamodel import (
     round_half_up,
 )
 from .errors import ConfigError, DataError
-from .infotheory import interaction_information, mutual_information, pair_series
+from .infotheory import mutual_information, pair_series
 
 METHODS = ("MIM", "MIFS", "MRMR", "MIBF", "IGBS")
 
@@ -106,6 +106,9 @@ def build_estimated_gt(
     idx = list(bands)
     if not idx:
         raise DataError("estimated ground truth needs at least one band")
+    bad = [b for b in idx if not 0 <= b < qcube.bands]
+    if bad:
+        raise DataError(f"bands out of range [0, {qcube.bands}): {bad}")
     mat = labeled_matrix(qcube, gt)
     return DiscreteSeries(symbols=_mean_rounded(mat, idx), alphabet=qcube.levels)
 
@@ -127,19 +130,16 @@ def score_mrmr(candidate: int, state: SelectionState) -> float:
 def score_igbs(candidate: int, state: SelectionState, lam: float = DEFAULT_LAMBDA) -> float:
     """Relevance plus the normalized three-way interaction of the class map,
     the estimated class map and the candidate."""
-    if state.estimated_gt is None:
+    if state._gt_est_pair is None:
         raise ConfigError("IGBS score needs an estimated ground truth")
     cand = state.band(candidate)
-    if state._gt_est_pair is not None:
-        # same decomposition as interaction_information, reusing the cached
-        # (labels, estimated_gt) pair and the relevance cache
-        gain = (
-            mutual_information(state._gt_est_pair, cand)
-            - float(state.relevance[candidate])
-            - mutual_information(state.estimated_gt, cand)
-        )
-    else:
-        gain = interaction_information(state.labels, state.estimated_gt, cand)
+    # interaction_information(labels, estimated_gt, cand) decomposed so that
+    # the cached (labels, estimated_gt) pair and the relevance cache are reused
+    gain = (
+        mutual_information(state._gt_est_pair, cand)
+        - float(state.relevance[candidate])
+        - mutual_information(state.estimated_gt, cand)
+    )
     return float(state.relevance[candidate]) + lam * gain / len(state.selected)
 
 

@@ -52,6 +52,8 @@ class SynthSpec:
             raise DataError("class separation must be positive")
         if self.noise_sigma < 0:
             raise DataError("noise sigma must be nonnegative")
+        if self.seed < 0:
+            raise DataError("seed must be nonnegative")
 
 
 def tile_labels(rows: int, cols: int, classes: int) -> np.ndarray:

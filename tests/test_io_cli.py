@@ -8,7 +8,7 @@ from igbs import pipeline, raster
 from igbs.cli import main
 from igbs.datamodel import GroundTruth, HyperCube
 from igbs.errors import ConfigError, DataError, MethodError
-from igbs.report import MethodOutcome, RunConfig, render_comparison
+from igbs.report import MethodOutcome, RunConfig, render_comparison, render_method_report
 from igbs.synth import SynthSpec, generate_cube
 
 
@@ -53,6 +53,10 @@ class TestCubeFormat:
         open(raw_path, "wb").write(data[:-8])
         with pytest.raises(DataError, match="expected 128 bytes"):
             raster.load_cube(base + ".hdr.json")
+
+    def test_header_path_resolves_base_and_header(self):
+        assert raster.cube_header_path("d/scene") == "d/scene.hdr.json"
+        assert raster.cube_header_path("d/scene.hdr.json") == "d/scene.hdr.json"
 
     def test_unknown_dtype_rejected(self, tmp_path):
         path = tmp_path / "bad.hdr.json"
@@ -230,6 +234,14 @@ class TestRunConfig:
         config = RunConfig(methods="mim,igbs")
         assert config.methods == ("MIM", "IGBS")
 
+    def test_truncated_report_rejected(self, tmp_path):
+        text = render_method_report(RunConfig(), MethodOutcome(method="MIM", error="x"),
+                                    bands_total=8)
+        path = tmp_path / "cut.report.txt"
+        path.write_text("".join(text.splitlines(keepends=True)[:8]))
+        with pytest.raises(ConfigError, match="lambda"):
+            RunConfig.from_report(str(path))
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"k": 7, "classifier": "1nn", "methods": ["MIM"]}))
@@ -308,3 +320,39 @@ class TestCli:
         run_dir = str(tmp_path / "cfgrun")
         assert main(["compare", "--config", str(cfg), "--out", run_dir]) == 0
         assert os.path.exists(f"{run_dir}/MIM.report.txt")
+
+
+# Each row once ended in a traceback or in the wrong exit code. Config rows
+# run `compare` with a --config file holding only the bad field, so no flag
+# overrides it.
+@pytest.mark.parametrize(
+    "argv, config, code",
+    [
+        pytest.param(["compare"], {"k": "abc"}, 2, id="config-k-not-int"),
+        pytest.param(["compare"], {"methods": 5}, 2, id="config-methods-not-strings"),
+        pytest.param(["compare"], {"fraction": None}, 2, id="config-fraction-null"),
+        pytest.param(["compare", "--seed", "-1"], None, 2, id="seed-negative"),
+        pytest.param(["compare", "--svm-gamma", "-1"], None, 2, id="svm-gamma-negative"),
+        pytest.param(["compare", "--svm-c", "0"], None, 2, id="svm-c-zero"),
+        pytest.param(["compare", "--svm-tol", "-1"], None, 2, id="svm-tol-negative"),
+        pytest.param(["compare", "--k", "0"], None, 2, id="k-zero"),
+        pytest.param(["compare", "--levels", "1"], None, 2, id="levels-one"),
+        pytest.param(["render", "--bands", "1,abc"], None, 2, id="render-bands-not-int"),
+        pytest.param(["render", "--bands", "99"], None, 3, id="render-band-out-of-range"),
+        pytest.param(["synth", "--seed", "-3"], None, 3, id="synth-seed-negative"),
+    ],
+)
+def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, config, code):
+    base = small_dataset[0]
+    argv = list(argv) + ["--out", str(tmp_path / "out")]
+    if argv[0] != "synth":
+        argv += ["--cube", base, "--gt", base + ".gt.raw"]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    # an exception escaping main() is the traceback a user would see
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.strip() and err.count("\n") == 1
+    assert "Traceback" not in err
