@@ -10,7 +10,7 @@ scaled to [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,10 +239,9 @@ class EvalReport:
     per_class: np.ndarray
     oa: float
     kappa: float
-    params: dict = field(default_factory=dict)
 
 
-def evaluate(pred, truth, classes=None, params: dict | None = None) -> EvalReport:
+def evaluate(pred, truth, classes=None) -> EvalReport:
     """Confusion matrix and summary metrics for one prediction run.
 
     ``classes`` defaults to the sorted union of labels seen in either
@@ -274,5 +273,4 @@ def evaluate(pred, truth, classes=None, params: dict | None = None) -> EvalRepor
         per_class=per_class_accuracy(cm),
         oa=overall_accuracy(cm),
         kappa=cohen_kappa(cm),
-        params=dict(params or {}),
     )

@@ -13,54 +13,65 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import raster
 from .datamodel import quantize_cube
-from .errors import ConfigError, DataError, MethodError
+from .errors import ConfigError, DataError, MethodError, build_record, cast_fields
+from .errors import integer, read_json_object, sequence
 from .pipeline import load_dataset, run_compare
-from .report import RunConfig, read_json_config
+from .report import RunConfig
 from .selection import METHODS, build_estimated_gt, greedy_select
 from .synth import SynthSpec, generate_cube
 
-_CONFIG_FLAGS = (
-    "cube", "gt", "k", "levels", "beta", "threshold", "lam", "classifier",
-    "svm_c", "svm_gamma", "svm_tol", "fraction", "seed", "out",
-)
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise a one-line ConfigError instead of printing the
+    usage text and exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _add_run_flags(sub):
+    # every flag is a plain string: the record casts and checks it
     sub.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
     sub.add_argument("--cube", help="cube base path or .hdr.json path")
     sub.add_argument("--gt", help="ground truth path (.gt.raw or .csv)")
-    sub.add_argument("--k", type=int, help="number of bands to select")
-    sub.add_argument("--levels", type=int, help="quantization levels")
-    sub.add_argument("--beta", type=float, help="MIFS redundancy weight")
-    sub.add_argument("--threshold", type=float, help="MIBF acceptance threshold")
-    sub.add_argument("--lambda", dest="lam", type=float, help="IGBS interaction weight")
-    sub.add_argument("--classifier", choices=("svm", "1nn"))
-    sub.add_argument("--svm-c", dest="svm_c", type=float)
-    sub.add_argument("--svm-gamma", dest="svm_gamma", type=float)
-    sub.add_argument("--svm-tol", dest="svm_tol", type=float)
-    sub.add_argument("--fraction", type=float, help="train fraction of labeled pixels")
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--k", help="number of bands to select")
+    sub.add_argument("--levels", help="quantization levels")
+    sub.add_argument("--beta", help="MIFS redundancy weight")
+    sub.add_argument("--threshold", help="MIBF acceptance threshold")
+    sub.add_argument("--lambda", dest="lam", help="IGBS interaction weight")
+    sub.add_argument("--classifier", help="svm or 1nn")
+    sub.add_argument("--svm-c", dest="svm_c")
+    sub.add_argument("--svm-gamma", dest="svm_gamma")
+    sub.add_argument("--svm-tol", dest="svm_tol")
+    sub.add_argument("--fraction", help="train fraction of labeled pixels")
+    sub.add_argument("--seed")
     sub.add_argument("--out", help="output directory")
 
 
-def _config_from_args(args, methods) -> RunConfig:
-    raw = {}
-    if args.config:
-        raw.update(read_json_config(args.config))
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
+def _record(cls, args):
+    """The record ``cls`` from the ``--config`` file, if any, overridden by
+    every flag given that names one of its fields."""
+    raw = read_json_object(args.config, ConfigError) if getattr(args, "config", None) else {}
+    for f in fields(cls):
+        value = getattr(args, f.name, None)
         if value is not None:
-            raw[name] = value
-    if methods is not None:
-        raw["methods"] = methods
-    return RunConfig.from_dict(raw)
+            raw[f.name] = value
+    return build_record(cls, raw, ConfigError)
+
+
+def _one_method(args) -> RunConfig:
+    config = _record(RunConfig, args)
+    if len(config.methods) != 1:
+        raise ConfigError(f"--method takes one method, got {args.methods!r}")
+    return config
 
 
 def cmd_select(args) -> int:
-    config = _config_from_args(args, methods=(args.method,))
+    config = _one_method(args)
     cube, gt = load_dataset(config)
     qcube = quantize_cube(cube, config.levels)
     result = greedy_select(
@@ -77,7 +88,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    config = _config_from_args(args, methods=(args.method,))
+    config = _one_method(args)
     outcomes = run_compare(config)
     outcome = outcomes[0]
     if outcome.error is not None:
@@ -92,10 +103,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    methods = None
-    if args.methods:
-        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    config = _config_from_args(args, methods=methods)
+    config = _record(RunConfig, args)
     outcomes = run_compare(config)
     with open(f"{config.out}/comparison.txt", "r", encoding="utf-8") as fh:
         print(fh.read(), end="")
@@ -103,24 +111,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    raw = {}
-    if args.config:
-        raw.update(read_json_config(args.config))
-    for name in ("rows", "cols", "bands", "classes", "noise_sigma",
-                 "class_separation", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            raw[name] = value
-    if args.informative is not None:
-        raw["informative_bands"] = tuple(
-            int(b) for b in args.informative.split(",") if b.strip()
-        )
-    if "informative_bands" in raw:
-        raw["informative_bands"] = tuple(raw["informative_bands"])
-    try:
-        spec = SynthSpec(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad synth config: {exc}") from exc
+    spec = _record(SynthSpec, args)
     cube, gt, meta = generate_cube(spec)
     header_path, raw_path = raster.save_cube(cube, args.out)
     gt_path = raster.save_gt(gt, args.out + ".gt.raw")
@@ -133,43 +124,40 @@ def cmd_synth(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.bands and not args.cube:
+    config = _record(RunConfig, args)
+    if args.bands and not config.cube:
         raise ConfigError("--bands needs --cube to build the estimated map")
-    if args.cube:
-        cube = raster.load_cube(raster.cube_header_path(args.cube))
-        gt = raster.load_gt(args.gt, rows=cube.rows, cols=cube.cols)
+    if config.cube:
+        cube = raster.load_cube(raster.cube_header_path(config.cube))
+        gt = raster.load_gt(config.gt, rows=cube.rows, cols=cube.cols)
     else:
-        gt = raster.load_gt(args.gt)
+        gt = raster.load_gt(config.gt)
     if args.bands:
-        try:
-            bands = [int(b) for b in args.bands.split(",") if b.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --bands {args.bands!r}: {exc}") from exc
-        est = build_estimated_gt(quantize_cube(cube, args.levels), gt, bands)
+        cast_fields(args, [("bands", sequence(integer))], ConfigError)
+        est = build_estimated_gt(quantize_cube(cube, config.levels), gt, args.bands)
         grid = raster.series_to_grid(est.symbols, gt, offset=1)
     else:
         grid = gt.labels
-    raster.export_map(grid, args.out)
-    print(f"wrote {args.out}")
+    raster.export_map(grid, config.out)
+    print(f"wrote {config.out}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="igbs",
         description="Information-gain band selection and classification harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_select = sub.add_parser("select", help="select bands with one method")
-    p_select.add_argument("--method", required=True, choices=METHODS)
-    _add_run_flags(p_select)
-    p_select.set_defaults(func=cmd_select)
-
-    p_classify = sub.add_parser("classify", help="select, train and evaluate one method")
-    p_classify.add_argument("--method", required=True, choices=METHODS)
-    _add_run_flags(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
+    for verb, func, text in (
+        ("select", cmd_select, "select bands with one method"),
+        ("classify", cmd_classify, "select, train and evaluate one method"),
+    ):
+        p_one = sub.add_parser(verb, help=text)
+        p_one.add_argument("--method", dest="methods", required=True, help=" | ".join(METHODS))
+        _add_run_flags(p_one)
+        p_one.set_defaults(func=func)
 
     p_compare = sub.add_parser("compare", help="run several methods and tabulate")
     p_compare.add_argument(
@@ -180,14 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--config", help="JSON file with synth spec fields")
-    p_synth.add_argument("--rows", type=int)
-    p_synth.add_argument("--cols", type=int)
-    p_synth.add_argument("--bands", type=int)
-    p_synth.add_argument("--classes", type=int)
-    p_synth.add_argument("--informative", help="comma-separated informative band indices")
-    p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p_synth.add_argument("--separation", dest="class_separation", type=float)
-    p_synth.add_argument("--seed", type=int)
+    for name in ("rows", "cols", "bands", "classes", "seed"):
+        p_synth.add_argument("--" + name)
+    p_synth.add_argument("--informative", dest="informative_bands",
+                         help="comma-separated informative band indices")
+    p_synth.add_argument("--noise-sigma", dest="noise_sigma")
+    p_synth.add_argument("--separation", dest="class_separation")
     p_synth.add_argument("--out", required=True, help="output base path")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -195,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--cube", help="cube base path (needed for raw gt or --bands)")
     p_render.add_argument("--gt", required=True)
     p_render.add_argument("--bands", help="band list for an estimated-class map")
-    p_render.add_argument("--levels", type=int, default=16)
+    p_render.add_argument("--levels", help="quantization levels for --bands (default 16)")
     p_render.add_argument("--out", required=True, help="output .ppm path")
     p_render.set_defaults(func=cmd_render)
 
@@ -203,9 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

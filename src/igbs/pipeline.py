@@ -72,24 +72,7 @@ def run_method(
     # the test pixels are a subset of the labeled scene: predict once, slice
     test_pred = full_pred[split.test_idx]
 
-    params = {
-        "method": method,
-        "selected_bands": list(selection.selected),
-        "classifier": config.classifier,
-        "svm_c": config.svm_c,
-        "svm_gamma": outcome.resolved_gamma,
-        "svm_tol": config.svm_tol,
-        "levels": config.levels,
-        "k": config.k,
-        "beta": config.beta,
-        "threshold": config.threshold,
-        "lam": config.lam,
-        "fraction": config.fraction,
-        "seed": config.seed,
-    }
-    outcome.report = classify.evaluate(
-        test_pred, test_y, classes=gt.classes, params=params
-    )
+    outcome.report = classify.evaluate(test_pred, test_y, classes=gt.classes)
     outcome.extras["full_prediction"] = full_pred
     return outcome
 

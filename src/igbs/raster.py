@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import GroundTruth, HyperCube
-from .errors import DataError
+from .errors import DataError, build_record, cast_fields, integer, read_json_object, text
 
 _DTYPES = {"u16": "<u2", "f32": "<f4"}
 
@@ -31,6 +31,9 @@ PALETTE = (
     (128, 128, 0), (255, 215, 180), (0, 0, 128), (128, 128, 128),
 )
 
+_HEADER_CASTS = (("rows", integer), ("cols", integer), ("bands", integer),
+                 ("dtype", text), ("interleave", text), ("byte_order", text))
+
 
 @dataclass(frozen=True)
 class CubeHeader:
@@ -42,6 +45,7 @@ class CubeHeader:
     byte_order: str = "little"
 
     def __post_init__(self):
+        cast_fields(self, _HEADER_CASTS, DataError)
         if min(self.rows, self.cols, self.bands) < 1:
             raise DataError("header dimensions must all be >= 1")
         if self.dtype not in _DTYPES:
@@ -56,22 +60,6 @@ class CubeHeader:
         return self.rows * self.cols * self.bands * np.dtype(_DTYPES[self.dtype]).itemsize
 
 
-def _read_header(path: str) -> CubeHeader:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot parse header {path}: {exc}") from exc
-    known = {"rows", "cols", "bands", "dtype", "interleave", "byte_order"}
-    extra = set(raw) - known
-    if extra:
-        raise DataError(f"unknown header fields in {path}: {sorted(extra)}")
-    try:
-        return CubeHeader(**raw)
-    except TypeError as exc:
-        raise DataError(f"incomplete header {path}: {exc}") from exc
-
-
 def cube_header_path(path: str) -> str:
     """The ``.hdr.json`` header for a cube given by base path or header path."""
     return path if path.endswith(".hdr.json") else path + ".hdr.json"
@@ -79,7 +67,7 @@ def cube_header_path(path: str) -> str:
 
 def load_cube(header_path: str, raw_path: str | None = None) -> HyperCube:
     """Decode a band-sequential cube; u16 samples widen to float."""
-    header = _read_header(header_path)
+    header = build_record(CubeHeader, read_json_object(header_path, DataError), DataError)
     if raw_path is None:
         raw_path = header_path[: -len(".hdr.json")] + ".raw"
     try:

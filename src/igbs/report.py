@@ -10,13 +10,13 @@ config that reproduces it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datamodel import MAX_LEVELS
-from .errors import ConfigError
+from .errors import ConfigError, build_record, cast_fields, read_json_object
+from .errors import finite, integer, optional, sequence, text
 from .selection import (
     DEFAULT_BETA,
     DEFAULT_LAMBDA,
@@ -27,58 +27,26 @@ from .selection import (
 
 CLASSIFIERS = ("svm", "1nn")
 
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _optional(cast):
-    return lambda value: None if value is None else cast(value)
-
-
-def _methods(value) -> tuple:
-    if isinstance(value, str):
-        value = value.split(",")
-    if not all(isinstance(m, str) for m in value):
-        raise TypeError(f"expected a string or a sequence of strings, got {value!r}")
-    return tuple(m.strip().upper() for m in value if m.strip())
-
-
-# how each RunConfig field is coerced; a failed cast becomes ConfigError
-_CASTS = {
-    "cube": _optional(_text),
-    "gt": _optional(_text),
-    "methods": _methods,
-    "k": int,
-    "levels": int,
-    "beta": float,
-    "threshold": float,
-    "lam": float,
-    "classifier": _text,
-    "svm_c": float,
-    "svm_gamma": _optional(float),
-    "svm_tol": float,
-    "fraction": float,
-    "seed": int,
-    "out": _text,
-}
-
-# report keys that differ from the field names, and the report's None markers
-_REPORT_KEYS = {"methods": "method", "lam": "lambda"}
-_REPORT_NONE = {"cube": "-", "gt": "-", "svm_gamma": "auto"}
-
-
-def read_json_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return raw
+# Every RunConfig field once, in report order: (field, cast, report key,
+# report text of None). A report writes the method it ran under ``method``
+# and does not record ``out``, the directory it was written to.
+_FIELDS = (
+    ("methods", sequence(lambda m: text(m).strip().upper()), "method", None),
+    ("cube", optional(text), "cube", "-"),
+    ("gt", optional(text), "gt", "-"),
+    ("k", integer, "k", None),
+    ("levels", integer, "levels", None),
+    ("beta", finite, "beta", None),
+    ("threshold", finite, "threshold", None),
+    ("lam", finite, "lambda", None),
+    ("classifier", text, "classifier", None),
+    ("svm_c", finite, "svm_c", None),
+    ("svm_gamma", optional(finite), "svm_gamma", "auto"),
+    ("svm_tol", finite, "svm_tol", None),
+    ("fraction", finite, "fraction", None),
+    ("seed", integer, "seed", None),
+    ("out", text, None, None),
+)
 
 
 @dataclass
@@ -102,11 +70,7 @@ class RunConfig:
     def __post_init__(self):
         """The one place a run's configuration is checked: every field is
         coerced to its type, and anything malformed raises ConfigError."""
-        for name, cast in _CASTS.items():
-            try:
-                setattr(self, name, cast(getattr(self, name)))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad {name}: {exc}") from exc
+        cast_fields(self, ((name, cast) for name, cast, _, _ in _FIELDS), ConfigError)
         unknown = [m for m in self.methods if m not in METHODS]
         # written so that NaN fails every range check
         checks = (
@@ -130,15 +94,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        extra = set(raw) - known
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        return cls(**raw)
+        return build_record(cls, raw, ConfigError)
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
-        return cls.from_dict(read_json_config(path))
+        return cls.from_dict(read_json_object(path, ConfigError))
 
     @classmethod
     def from_report(cls, path: str) -> "RunConfig":
@@ -155,14 +115,12 @@ class RunConfig:
         if "method" not in values:
             raise ConfigError(f"{path} does not look like a method report")
         raw = {}
-        for name in _CASTS:
-            if name == "out":  # reports do not record where they were written
+        for name, _, key, none in _FIELDS:
+            if key is None:
                 continue
-            key = _REPORT_KEYS.get(name, name)
             if key not in values:
                 raise ConfigError(f"{path}: report has no {key!r} line")
-            value = values[key]
-            raw[name] = None if value == _REPORT_NONE.get(name) else value
+            raw[name] = None if values[key] == none else values[key]
         return cls(**raw)
 
 
@@ -182,29 +140,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_lines(config: RunConfig, method: str) -> list[str]:
-    gamma = "auto" if config.svm_gamma is None else _fmt(config.svm_gamma)
-    return [
-        "report = band-selection-evaluation",
-        f"method = {method}",
-        f"cube = {config.cube or '-'}",
-        f"gt = {config.gt or '-'}",
-        f"k = {config.k}",
-        f"levels = {config.levels}",
-        f"beta = {_fmt(config.beta)}",
-        f"threshold = {_fmt(config.threshold)}",
-        f"lambda = {_fmt(config.lam)}",
-        f"classifier = {config.classifier}",
-        f"svm_c = {_fmt(config.svm_c)}",
-        f"svm_gamma = {gamma}",
-        f"svm_tol = {_fmt(config.svm_tol)}",
-        f"fraction = {_fmt(config.fraction)}",
-        f"seed = {config.seed}",
-    ]
+def _report_items(config: RunConfig, method: str) -> list[tuple[str, str]]:
+    """(report key, text) of every reported field, in report order."""
+    items = []
+    for name, _, key, none in _FIELDS:
+        if key is not None:
+            value = method if name == "methods" else getattr(config, name)
+            # an empty path prints like an absent one
+            items.append((key, none if value in (None, "") else _fmt(value)))
+    return items
 
 
 def render_method_report(config: RunConfig, outcome: MethodOutcome, bands_total: int) -> str:
-    lines = _config_lines(config, outcome.method)
+    lines = ["report = band-selection-evaluation"]
+    lines += [f"{key} = {value}" for key, value in _report_items(config, outcome.method)]
     lines.append(f"bands_total = {bands_total}")
     if outcome.error is not None:
         lines.append("status = failed")
@@ -236,13 +185,10 @@ def render_method_report(config: RunConfig, outcome: MethodOutcome, bands_total:
 def render_comparison(config: RunConfig, outcomes: list, classes) -> str:
     """Comparison table: one column per method, per-class accuracy rows and
     Kappa/OA footer rows."""
-    gamma = "auto" if config.svm_gamma is None else _fmt(config.svm_gamma)
-    params = (
-        f"params: k={config.k} levels={config.levels} beta={_fmt(config.beta)} "
-        f"threshold={_fmt(config.threshold)} lambda={_fmt(config.lam)} "
-        f"classifier={config.classifier} svm_c={_fmt(config.svm_c)} "
-        f"svm_gamma={gamma} svm_tol={_fmt(config.svm_tol)} "
-        f"fraction={_fmt(config.fraction)} seed={config.seed}"
+    # the table names no single method and no data paths
+    params = "params: " + " ".join(
+        f"{key}={value}" for key, value in _report_items(config, "")
+        if key not in ("method", "cube", "gt")
     )
     name_width = max(12, max((len(str(int(c))) for c in classes), default=1))
     col_width = 10
@@ -264,22 +210,9 @@ def render_comparison(config: RunConfig, outcomes: list, classes) -> str:
             acc = o.report.per_class[idx]
             cells.append("undefined" if np.isnan(acc) else f"{100 * acc:.2f}")
         lines.append(row(str(int(cls)), cells))
-    lines.append(
-        row(
-            "Kappa(%)",
-            [
-                "failed" if o.error is not None else f"{100 * o.report.kappa:.2f}"
-                for o in outcomes
-            ],
-        )
-    )
-    lines.append(
-        row(
-            "OA(%)",
-            [
-                "failed" if o.error is not None else f"{100 * o.report.oa:.2f}"
-                for o in outcomes
-            ],
-        )
-    )
+    for label, metric in (("Kappa(%)", "kappa"), ("OA(%)", "oa")):
+        lines.append(row(label, [
+            "failed" if o.error is not None else f"{100 * getattr(o.report, metric):.2f}"
+            for o in outcomes
+        ]))
     return "\n".join(lines) + "\n"

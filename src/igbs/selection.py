@@ -73,7 +73,6 @@ class SelectionState:
 @dataclass(frozen=True)
 class SelectionResult:
     method: str
-    params: dict
     selected: list[int]
     step_scores: list[float]
 
@@ -183,20 +182,12 @@ def greedy_select(
     if not 1 <= k <= qcube.bands:
         raise ConfigError(f"k must be in [1, {qcube.bands}], got {k}")
 
-    params = {
-        "k": k,
-        "levels": qcube.levels,
-        "beta": beta,
-        "threshold": threshold,
-        "lam": lam,
-    }
     state = init_state(qcube, gt)
 
     if method == "MIM":
         order = np.argsort(-state.relevance, kind="stable")[:k]
         return SelectionResult(
             method=method,
-            params=params,
             selected=[int(b) for b in order],
             step_scores=[float(state.relevance[b]) for b in order],
         )
@@ -224,7 +215,7 @@ def greedy_select(
             scores.append(float(pick_score))
 
     return SelectionResult(
-        method=method, params=params, selected=list(state.selected), step_scores=scores
+        method=method, selected=list(state.selected), step_scores=scores
     )
 
 

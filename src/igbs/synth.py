@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import GroundTruth, HyperCube
-from .errors import DataError
+from .errors import ConfigError, DataError, cast_fields, finite, integer, sequence
+
+_CASTS = (
+    ("rows", integer), ("cols", integer), ("bands", integer), ("classes", integer),
+    ("informative_bands", sequence(integer)), ("noise_sigma", finite),
+    ("class_separation", finite), ("seed", integer),
+)
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a value of the wrong type is a configuration error, one out of
+        # range a data error
+        cast_fields(self, _CASTS, ConfigError)
         if min(self.rows, self.cols, self.bands) < 1:
             raise DataError("rows, cols and bands must all be >= 1")
         if self.classes < 2:

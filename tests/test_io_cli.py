@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 
-from igbs import pipeline, raster
+from igbs import classify, pipeline, raster
 from igbs.cli import main
 from igbs.datamodel import GroundTruth, HyperCube
 from igbs.errors import ConfigError, DataError, MethodError
@@ -220,6 +222,49 @@ class TestRunCompare:
         assert lines[1].split() == ["class", "MIM"]
         assert [ln.split()[0] for ln in lines[2:]] == ["1", "2", "3", "Kappa(%)", "OA(%)"]
 
+    @pytest.mark.parametrize("gamma, shown, resolved",
+                             [(0.125, "0.125000", "0.125000"), (None, "auto", "0.500000")])
+    def test_report_and_comparison_bytes(self, tmp_path, gamma, shown, resolved):
+        config = RunConfig(gt="scene.gt.raw", methods=("MIFS", "IGBS"), k=2, levels=8,
+                           beta=0.25, threshold=-0.5, lam=2.0, svm_c=10.0, svm_gamma=gamma,
+                           svm_tol=0.01, fraction=0.3, seed=7, out="ignored")
+        ok = MethodOutcome(
+            method="MIFS",
+            selection=types.SimpleNamespace(selected=[3, 1], step_scores=[1.5, 0.25]),
+            report=classify.evaluate([1, 1, 2, 2, 3], [1, 2, 2, 2, 3], classes=[1, 2, 3, 4]),
+            resolved_gamma=0.5 if gamma is None else gamma,
+        )
+        report = render_method_report(config, ok, bands_total=6)
+        assert report == (
+            "report = band-selection-evaluation\nmethod = MIFS\ncube = -\n"
+            "gt = scene.gt.raw\nk = 2\nlevels = 8\nbeta = 0.250000\n"
+            "threshold = -0.500000\nlambda = 2.000000\nclassifier = svm\n"
+            f"svm_c = 10.000000\nsvm_gamma = {shown}\nsvm_tol = 0.010000\n"
+            "fraction = 0.300000\nseed = 7\nbands_total = 6\nstatus = ok\n"
+            f"svm_gamma_resolved = {resolved}\nselected_bands = 3 1\n"
+            "step_scores = 1.500000 0.250000\noa_percent = 80.00\nkappa_percent = 68.75\n"
+            "table = per_class\nclass n_test accuracy_percent\n1 1 100.00\n2 3 66.67\n"
+            "3 1 100.00\n4 0 undefined\nend = per_class\ntable = confusion\n"
+            "1 0 0 0\n1 2 0 0\n0 0 1 0\n0 0 0 0\nend = confusion\n"
+        )
+        failed = MethodOutcome(method="IGBS", error="boom")
+        assert render_comparison(config, [ok, failed], np.array([1, 2, 3, 4])) == (
+            "params: k=2 levels=8 beta=0.250000 threshold=-0.500000 lambda=2.000000 "
+            f"classifier=svm svm_c=10.000000 svm_gamma={shown} svm_tol=0.010000 "
+            "fraction=0.300000 seed=7\n"
+            "class             MIFS      IGBS\n"
+            "1               100.00    failed\n"
+            "2                66.67    failed\n"
+            "3               100.00    failed\n"
+            "4            undefined    failed\n"
+            "Kappa(%)         68.75    failed\n"
+            "OA(%)            80.00    failed\n"
+        )
+        path = tmp_path / "MIFS.report.txt"
+        path.write_text(report)
+        expected = dataclasses.replace(config, methods=("MIFS",), out="run")
+        assert RunConfig.from_report(str(path)) == expected
+
 
 class TestRunConfig:
     def test_unknown_field_rejected(self):
@@ -340,6 +385,17 @@ class TestCli:
         pytest.param(["render", "--bands", "1,abc"], None, 2, id="render-bands-not-int"),
         pytest.param(["render", "--bands", "99"], None, 3, id="render-band-out-of-range"),
         pytest.param(["synth", "--seed", "-3"], None, 3, id="synth-seed-negative"),
+        pytest.param(["synth"], {"seed": 1.5}, 2, id="synth-config-seed-fractional"),
+        pytest.param(["synth"], {"informative_bands": 5}, 2, id="synth-config-bands-not-list"),
+        pytest.param(["synth"], {"rows": 8.7}, 2, id="synth-config-rows-fractional"),
+        pytest.param(["synth", "--informative", "0,x"], None, 2, id="synth-informative-not-int"),
+        pytest.param(["render", "--levels", "1"], None, 2, id="render-levels-one"),
+        pytest.param(["compare", "--k", "abc"], None, 2, id="k-not-int"),
+        pytest.param(["compare", "--bogus", "1"], None, 2, id="unknown-flag"),
+        pytest.param(["compare", "--beta", "nan"], None, 2, id="beta-nan"),
+        pytest.param(["compare", "--threshold", "nan"], None, 2, id="threshold-nan"),
+        pytest.param(["compare"], {"k": 8.7}, 2, id="config-k-fractional"),
+        pytest.param(["compare"], {"seed": True}, 2, id="config-seed-boolean"),
     ],
 )
 def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, config, code):
@@ -356,3 +412,32 @@ def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, co
     err = capsys.readouterr().err
     assert err.strip() and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# Each header text once ended in a traceback or was silently accepted.
+@pytest.mark.parametrize(
+    "header",
+    [
+        pytest.param("5", id="not-an-object"),
+        pytest.param('{"rows": true, "cols": 2, "bands": 1}', id="rows-boolean"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+    ],
+)
+def test_bad_header_exits_3_with_one_line(tmp_path, capsys, header):
+    base = str(tmp_path / "scene")
+    (tmp_path / "scene.hdr.json").write_text(header)
+    (tmp_path / "scene.raw").write_bytes(bytes(8))  # one 1x2 f32 band
+    (tmp_path / "gt.csv").write_text("1,2\n")
+    argv = ["render", "--cube", base, "--gt", str(tmp_path / "gt.csv"),
+            "--out", str(tmp_path / "map.ppm")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.strip() and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--help"])
+    assert exc.value.code == 0
+    assert "--methods" in capsys.readouterr().out
