@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import types
@@ -264,6 +265,71 @@ class TestRunCompare:
         path.write_text(report)
         expected = dataclasses.replace(config, methods=("MIFS",), out="run")
         assert RunConfig.from_report(str(path)) == expected
+
+
+# sha256 of every file two run_compare calls write on a fixed in-memory scene
+# (no data paths, so reports hold none); a change to any report, map or
+# comparison byte shows here
+_GOLDEN = {
+    "svm/IGBS.map.ppm":
+        "c34ddf46f2a974f8a1a7646f90dc05892afb635eaf466397a875ab9bde510f3a",
+    "svm/IGBS.report.txt":
+        "8fad189af1ef6e8b71e192614608f0f22ee96eb64a99befa3600ec7ae7394db7",
+    "svm/MIBF.map.ppm":
+        "b07abe4023e9cf4301daf419754ce87ec9a169ff282aeba06eb1d8ce5377cf1a",
+    "svm/MIBF.report.txt":
+        "4677b0f73680cf67b330df7aa406a3ecac8366fe205b1e9dce031da4cf635233",
+    "svm/MIFS.map.ppm":
+        "c34ddf46f2a974f8a1a7646f90dc05892afb635eaf466397a875ab9bde510f3a",
+    "svm/MIFS.report.txt":
+        "05eb5689e12f100a9f55f9d85310d275f371d02bccaadb813013714beca7e1b4",
+    "svm/MIM.map.ppm":
+        "c34ddf46f2a974f8a1a7646f90dc05892afb635eaf466397a875ab9bde510f3a",
+    "svm/MIM.report.txt":
+        "75bb699973d2dbfcabac20265a530d2329af4a2bd6ad3d7c7e12a72b3462e106",
+    "svm/MRMR.map.ppm":
+        "c34ddf46f2a974f8a1a7646f90dc05892afb635eaf466397a875ab9bde510f3a",
+    "svm/MRMR.report.txt":
+        "98724e0ab0408785e420caac4cdda41f3496c17a1a1636e222e19e69b04bc076",
+    "svm/comparison.txt":
+        "5647fd578ffa0a7dde8705bd22375ad88b33a9f40097b0c086d26fec662388b9",
+    "1nn/IGBS.map.ppm":
+        "c34ddf46f2a974f8a1a7646f90dc05892afb635eaf466397a875ab9bde510f3a",
+    "1nn/IGBS.report.txt":
+        "458b2b28323d1650f639234d5cf5df051805a11c23ac61c37077de0343c01ee4",
+    "1nn/MIBF.map.ppm":
+        "3745888a46c78865270f631d29be32362bb3405417907d01163b382317f4ec22",
+    "1nn/MIBF.report.txt":
+        "fa027f8eeaef0dadf3aa7ffae4103e63d53c8d34cc4254f0e99a5221357f828b",
+    "1nn/MIFS.map.ppm":
+        "c34ddf46f2a974f8a1a7646f90dc05892afb635eaf466397a875ab9bde510f3a",
+    "1nn/MIFS.report.txt":
+        "256c05ca8229d33c8ee33402e643dd8b1b0f8e4eb43deb0f107c87ae21cc65ce",
+    "1nn/MIM.map.ppm":
+        "c34ddf46f2a974f8a1a7646f90dc05892afb635eaf466397a875ab9bde510f3a",
+    "1nn/MIM.report.txt":
+        "4001f9de7f7d7e3e2a86b8a1e026eaa7b6b54be2ea933d252245827b23d7f2e8",
+    "1nn/MRMR.map.ppm":
+        "c34ddf46f2a974f8a1a7646f90dc05892afb635eaf466397a875ab9bde510f3a",
+    "1nn/MRMR.report.txt":
+        "773c1077099c7055dbe650714821c0cc097cde1d63e5283318534b60ebbc9a0d",
+    "1nn/comparison.txt":
+        "8afb3a2657038361f0a0afb7e0dc460e7d5ab1246b42f2265bf5b3ebdf463c4f",
+}
+
+
+def test_run_compare_output_bytes_are_fixed(tmp_path):
+    spec = SynthSpec(rows=16, cols=16, bands=12, classes=3, informative_bands=(1, 5, 9),
+                     noise_sigma=1.0, class_separation=6.0, seed=5)
+    cube, gt, _ = generate_cube(spec)
+    digests = {}
+    for classifier in ("svm", "1nn"):
+        out = tmp_path / classifier
+        config = RunConfig(k=4, seed=1, classifier=classifier, out=str(out))
+        pipeline.run_compare(config, cube=cube, gt=gt)
+        for path in out.iterdir():
+            digests[f"{classifier}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == _GOLDEN
 
 
 class TestRunConfig:
