@@ -16,11 +16,6 @@ def hist2d(x, y, ax, ay):
     return flat.reshape(ax, ay).astype(np.int64, copy=False)
 
 
-def hist3d(x, y, z, ax, ay, az):
-    flat = np.bincount((x * ay + y) * az + z, minlength=ax * ay * az)
-    return flat.reshape(ax, ay, az).astype(np.int64, copy=False)
-
-
 def rbf_kernel(a, b, gamma):
     # ||a-b||^2 = |a|^2 + |b|^2 - 2 a.b ; clip guards tiny negative round-off
     sq = (
@@ -43,7 +38,7 @@ def nn1_index(train, test):
     return out
 
 
-def smo_solve(kernel, y, c, tol, max_iter):
+def smo_solve(kernel, y, c, tol, max_steps):
     n = y.shape[0]
     alpha = np.zeros(n)
     u = np.zeros(n)  # decision values without bias
@@ -51,7 +46,7 @@ def smo_solve(kernel, y, c, tol, max_iter):
     m_val = 0.0
     big_m = 0.0
     it = 0
-    while it < max_iter:
+    while it < max_steps:
         g = y - u
         in_up = np.where(pos, alpha < c, alpha > 0.0)
         in_low = np.where(pos, alpha > 0.0, alpha < c)

@@ -28,8 +28,6 @@ DEFAULT_FRACTION = 0.5
 class SplitPlan:
     """Train/test assignment over the labeled pixels (row-major order)."""
 
-    seed: int
-    fraction: float
     train_idx: np.ndarray
     test_idx: np.ndarray
 
@@ -55,8 +53,6 @@ def stratified_split(
         train.append(perm[:n_train])
         test.append(perm[n_train:])
     return SplitPlan(
-        seed=seed,
-        fraction=fraction,
         train_idx=np.sort(np.concatenate(train)),
         test_idx=np.sort(np.concatenate(test)),
     )
@@ -71,7 +67,6 @@ class PairModel:
     sv_features: np.ndarray
     sv_coef: np.ndarray  # alpha_i * y_i over the support vectors
     alphas: np.ndarray  # duals over the support vectors, in (0, C]
-    sv_labels: np.ndarray  # +-1
     bias: float
     gamma: float
     iterations: int
@@ -87,9 +82,7 @@ class PairModel:
 class SvmModel:
     classes: np.ndarray
     pairs: list
-    c: float
     gamma: float
-    tol: float
     n_features: int
 
 
@@ -99,14 +92,13 @@ def train_svm(
     c: float = DEFAULT_C,
     gamma: float | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SvmModel:
     """Train a one-vs-one soft-margin RBF SVM by SMO.
 
     gamma defaults to 1/n_features. Training is deterministic: the solver
     always works on the maximal violating pair and breaks ties toward the
     lowest index. A pair that fails to reach the KKT tolerance within
-    ``max_iter`` steps raises MethodError naming the pair.
+    ``DEFAULT_MAX_ITER`` steps raises MethodError naming the pair.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -129,7 +121,7 @@ def train_svm(
             y = np.where(labels[mask] == ci, 1.0, -1.0)
             kernel = accel.rbf_kernel(x, x, gamma)
             alpha, bias, iters, gap = accel.smo_solve(
-                kernel, y, float(c), float(tol), max_iter
+                kernel, y, float(c), float(tol), DEFAULT_MAX_ITER
             )
             if gap > tol:
                 raise MethodError(
@@ -143,19 +135,13 @@ def train_svm(
                 sv_features=np.ascontiguousarray(x[sv]),
                 sv_coef=alpha[sv] * y[sv],
                 alphas=alpha[sv],
-                sv_labels=y[sv],
                 bias=float(bias),
                 iterations=int(iters),
                 gamma=float(gamma),
             )
             pairs.append(pair)
     return SvmModel(
-        classes=classes,
-        pairs=pairs,
-        c=float(c),
-        gamma=float(gamma),
-        tol=float(tol),
-        n_features=features.shape[1],
+        classes=classes, pairs=pairs, gamma=float(gamma), n_features=features.shape[1]
     )
 
 

@@ -128,8 +128,7 @@ def cmd_render(args) -> int:
     if args.bands and not config.cube:
         raise ConfigError("--bands needs --cube to build the estimated map")
     if config.cube:
-        cube = raster.load_cube(raster.cube_header_path(config.cube))
-        gt = raster.load_gt(config.gt, rows=cube.rows, cols=cube.cols)
+        cube, gt = load_dataset(config)
     else:
         gt = raster.load_gt(config.gt)
     if args.bands:

@@ -36,10 +36,6 @@ class JointHistogram:
             raise DataError("histogram total must equal the sum of counts (>= 1)")
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.counts.shape
-
     def marginalize(self, axis: int) -> "JointHistogram":
         """Sum one axis away; the total is preserved."""
         if self.counts.ndim == 1:
@@ -57,14 +53,12 @@ def joint_histogram(series: Sequence[DiscreteSeries]) -> JointHistogram:
     if len(series) == 1:
         counts = np.bincount(series[0].symbols, minlength=series[0].alphabet)
         counts = counts.astype(np.int64, copy=False)
-    elif len(series) == 2:
-        x, y = series
-        counts = accel.hist2d(x.symbols, y.symbols, x.alphabet, y.alphabet)
     else:
-        x, y, z = series
-        counts = accel.hist3d(
-            x.symbols, y.symbols, z.symbols, x.alphabet, y.alphabet, z.alphabet
-        )
+        # three series count as the pair of the first two against the third
+        x = series[0] if len(series) == 2 else pair_series(series[0], series[1])
+        z = series[-1]
+        counts = accel.hist2d(x.symbols, z.symbols, x.alphabet, z.alphabet)
+        counts = counts.reshape([s.alphabet for s in series])
     return JointHistogram(counts=counts, total=n)
 
 

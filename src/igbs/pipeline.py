@@ -1,9 +1,11 @@
 """End-to-end orchestration: select -> split -> train -> predict -> evaluate,
 for one method or a whole comparison run.
 
-A failing method is recorded as failed in its report and in the comparison
-table; the remaining methods still run. Nothing here consumes wall-clock
-state, so identical configurations produce byte-identical outputs.
+A method that fails on its data or in its solver is recorded as failed in its
+report and in the comparison table, and the remaining methods still run; a
+configuration error, such as k above the cube's band count, ends the run.
+Nothing here consumes wall-clock state, so identical configurations produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import classify, raster
 from .datamodel import GroundTruth, HyperCube, QuantizedCube, label_series, labeled_matrix, quantize_cube
-from .errors import ConfigError, IgbsError
+from .errors import ConfigError, DataError, MethodError
 from .report import MethodOutcome, RunConfig, render_comparison, render_method_report
 from .selection import greedy_select
 
@@ -59,13 +61,10 @@ def run_method(
     test_y = labels[split.test_idx]
 
     if config.classifier == "svm":
-        gamma = config.svm_gamma
-        if gamma is None:
-            gamma = 1.0 / features.shape[1]
-        outcome.resolved_gamma = gamma
         model = classify.train_svm(
-            train_x, train_y, c=config.svm_c, gamma=gamma, tol=config.svm_tol
+            train_x, train_y, c=config.svm_c, gamma=config.svm_gamma, tol=config.svm_tol
         )
+        outcome.resolved_gamma = model.gamma
         full_pred = classify.predict(model, features)
     else:
         full_pred = classify.knn_predict(train_x, train_y, features)
@@ -73,7 +72,7 @@ def run_method(
     test_pred = full_pred[split.test_idx]
 
     outcome.report = classify.evaluate(test_pred, test_y, classes=gt.classes)
-    outcome.extras["full_prediction"] = full_pred
+    outcome.prediction = full_pred
     return outcome
 
 
@@ -81,10 +80,9 @@ def run_compare(
     config: RunConfig,
     cube: HyperCube | None = None,
     gt: GroundTruth | None = None,
-    write: bool = True,
 ) -> list[MethodOutcome]:
-    """Run every configured method and (optionally) write reports, maps and
-    the comparison table under ``config.out``."""
+    """Run every configured method and write reports, maps and the
+    comparison table under ``config.out``."""
     if cube is None or gt is None:
         cube, gt = load_dataset(config)
     qcube = quantize_cube(cube, config.levels)
@@ -93,10 +91,9 @@ def run_compare(
     for method in config.methods:
         try:
             outcomes.append(run_method(qcube, gt, method, config, split))
-        except IgbsError as exc:
+        except (DataError, MethodError) as exc:
             outcomes.append(MethodOutcome(method=method, error=str(exc)))
-    if write:
-        write_outputs(config, qcube, gt, outcomes)
+    write_outputs(config, qcube, gt, outcomes)
     return outcomes
 
 
@@ -107,8 +104,7 @@ def write_outputs(config, qcube, gt, outcomes) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(render_method_report(config, outcome, bands_total=qcube.bands))
         if outcome.error is None:
-            grid = np.zeros((gt.rows, gt.cols), dtype=np.int64)
-            grid[gt.mask] = outcome.extras["full_prediction"]
+            grid = raster.series_to_grid(outcome.prediction, gt, offset=0)
             raster.export_map(grid, os.path.join(config.out, f"{outcome.method}.map.ppm"))
     comparison = render_comparison(config, outcomes, gt.classes)
     with open(os.path.join(config.out, "comparison.txt"), "w", encoding="utf-8") as fh:

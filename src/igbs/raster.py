@@ -65,11 +65,10 @@ def cube_header_path(path: str) -> str:
     return path if path.endswith(".hdr.json") else path + ".hdr.json"
 
 
-def load_cube(header_path: str, raw_path: str | None = None) -> HyperCube:
+def load_cube(header_path: str) -> HyperCube:
     """Decode a band-sequential cube; u16 samples widen to float."""
     header = build_record(CubeHeader, read_json_object(header_path, DataError), DataError)
-    if raw_path is None:
-        raw_path = header_path[: -len(".hdr.json")] + ".raw"
+    raw_path = header_path[: -len(".hdr.json")] + ".raw"
     try:
         actual = os.path.getsize(raw_path)
     except OSError as exc:
@@ -159,9 +158,9 @@ def series_to_grid(values: np.ndarray, gt: GroundTruth, offset: int = 1) -> np.n
     return grid
 
 
-def export_map(grid: np.ndarray, path: str, palette=PALETTE) -> str:
+def export_map(grid: np.ndarray, path: str) -> str:
     """Render an integer grid as a P6 pixmap; 0 is black, value v takes
-    palette color (v-1) mod len(palette)."""
+    ``PALETTE`` color (v-1) mod len(PALETTE)."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise DataError("map grid must be 2-D")
@@ -169,7 +168,7 @@ def export_map(grid: np.ndarray, path: str, palette=PALETTE) -> str:
         raise DataError("map grid values must be nonnegative")
     colors = np.zeros((int(grid.max()) + 1, 3), dtype=np.uint8)
     for v in range(1, colors.shape[0]):
-        colors[v] = palette[(v - 1) % len(palette)]
+        colors[v] = PALETTE[(v - 1) % len(PALETTE)]
     pixels = colors[grid]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii"))

@@ -10,11 +10,12 @@ config that reproduces it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import MAX_LEVELS
+from .classify import DEFAULT_C, DEFAULT_FRACTION, DEFAULT_TOL
+from .datamodel import DEFAULT_LEVELS, MAX_LEVELS
 from .errors import ConfigError, build_record, cast_fields, read_json_object
 from .errors import finite, integer, optional, sequence, text
 from .selection import (
@@ -55,15 +56,15 @@ class RunConfig:
     gt: str | None = None
     methods: tuple = METHODS
     k: int = 10
-    levels: int = 16
+    levels: int = DEFAULT_LEVELS
     beta: float = DEFAULT_BETA
     threshold: float = DEFAULT_THRESHOLD
     lam: float = DEFAULT_LAMBDA
     classifier: str = "svm"
-    svm_c: float = 100.0
+    svm_c: float = DEFAULT_C
     svm_gamma: float | None = None  # None resolves to 1/n_selected_bands
-    svm_tol: float = 1e-3
-    fraction: float = 0.5
+    svm_tol: float = DEFAULT_TOL
+    fraction: float = DEFAULT_FRACTION
     seed: int = 0
     out: str = "run"
 
@@ -76,6 +77,8 @@ class RunConfig:
         checks = (
             (not unknown, f"unknown methods {unknown}, expected subset of {METHODS}"),
             (bool(self.methods), "at least one method is required"),
+            (len(set(self.methods)) == len(self.methods),
+             f"duplicate methods in {list(self.methods)}"),
             (self.classifier in CLASSIFIERS,
              f"unknown classifier {self.classifier!r}, expected one of {CLASSIFIERS}"),
             (self.k >= 1, f"k must be >= 1, got {self.k}"),
@@ -131,7 +134,7 @@ class MethodOutcome:
     report: object | None = None  # classify.EvalReport
     resolved_gamma: float | None = None
     error: str | None = None
-    extras: dict = field(default_factory=dict)
+    prediction: np.ndarray | None = None  # labels over all labeled pixels
 
 
 def _fmt(value) -> str:

@@ -183,16 +183,8 @@ def greedy_select(
         raise ConfigError(f"k must be in [1, {qcube.bands}], got {k}")
 
     state = init_state(qcube, gt)
-
-    if method == "MIM":
-        order = np.argsort(-state.relevance, kind="stable")[:k]
-        return SelectionResult(
-            method=method,
-            selected=[int(b) for b in order],
-            step_scores=[float(state.relevance[b]) for b in order],
-        )
-
-    first, first_score = _argmax_lowest(state.remaining, lambda b: state.relevance[b])
+    relevance = lambda c: state.relevance[c]
+    first, first_score = _argmax_lowest(state.remaining, relevance)
     state.selected.append(first)
     state.remaining.remove(first)
     scores = [float(first_score)]
@@ -200,12 +192,12 @@ def greedy_select(
     if method == "MIBF":
         _mibf_loop(state, k, threshold, scores)
     else:
-        if method == "MIFS":
-            step_score = lambda c: score_mifs(c, state, beta)
-        elif method == "MRMR":
-            step_score = lambda c: score_mrmr(c, state)
-        else:  # IGBS
-            step_score = lambda c: score_igbs(c, state, lam)
+        step_score = {
+            "MIM": relevance,
+            "MIFS": lambda c: score_mifs(c, state, beta),
+            "MRMR": lambda c: score_mrmr(c, state),
+            "IGBS": lambda c: score_igbs(c, state, lam),
+        }[method]
         while len(state.selected) < k and state.remaining:
             if method == "IGBS":
                 state.rebuild_estimated_gt()

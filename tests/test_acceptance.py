@@ -50,7 +50,6 @@ def _series(symbols, alphabet=None):
 def _warm_kernels():
     x = np.array([0, 1], dtype=np.int64)
     accel.hist2d(x, x, 2, 2)
-    accel.hist3d(x, x, x, 2, 2, 2)
     f = np.zeros((2, 2))
     accel.rbf_kernel(f, f, 1.0)
     accel.nn1_index(f, f)

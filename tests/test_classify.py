@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from igbs import classify
 from igbs.classify import (
     ConfusionMatrix,
     PairModel,
@@ -14,7 +15,7 @@ from igbs.classify import (
     train_svm,
 )
 from igbs.datamodel import GroundTruth
-from igbs.errors import ConfigError, DataError
+from igbs.errors import ConfigError, DataError, MethodError
 
 
 def grid_gt(class_sizes):
@@ -123,6 +124,15 @@ class TestSvm:
         with pytest.raises(DataError):
             train_svm(np.zeros((4, 2)), np.ones(4, dtype=int))
 
+    def test_step_limit_raises_naming_the_pair(self, monkeypatch):
+        # one SMO step cannot close the KKT gap on XOR; the limit is read
+        # when train_svm runs
+        monkeypatch.setattr(classify, "DEFAULT_MAX_ITER", 1)
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        y = np.array([1, 1, 2, 2])
+        with pytest.raises(MethodError, match=r"class pair \(1, 2\)"):
+            train_svm(x, y, c=10.0, gamma=1.0)
+
 
 class TestPredictRules:
     def test_far_point_decided_by_bias_sign(self):
@@ -146,7 +156,6 @@ class TestPredictRules:
                 sv_features=empty,
                 sv_coef=np.zeros(0),
                 alphas=np.zeros(0),
-                sv_labels=np.zeros(0),
                 bias=bias,
                 iterations=0,
                 gamma=1.0,
@@ -162,9 +171,7 @@ class TestPredictRules:
                 pair(2, 4, 1.0),   # 2
                 pair(3, 4, 1.0),   # 3
             ],
-            c=1.0,
             gamma=1.0,
-            tol=1e-3,
             n_features=2,
         )
         assert predict(model, np.zeros((1, 2)))[0] == 1

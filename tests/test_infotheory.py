@@ -42,6 +42,15 @@ class TestJointHistogram:
         h = joint_histogram([series([0, 0, 1, 1]), series([0, 1, 0, 1])])
         assert h.counts.tolist() == [[1, 1], [1, 1]]
 
+    def test_three_series_counts_each_cell(self):
+        rng = np.random.default_rng(2)
+        trio = [random_series(rng, 60, a) for a in (2, 3, 4)]
+        expected = np.zeros((2, 3, 4), dtype=np.int64)
+        np.add.at(expected, tuple(s.symbols for s in trio), 1)
+        h = joint_histogram(trio)
+        assert h.counts.shape == (2, 3, 4)
+        assert (h.counts == expected).all()
+
     def test_marginalize_preserves_total(self):
         rng = np.random.default_rng(0)
         h = joint_histogram(

@@ -462,6 +462,10 @@ class TestCli:
         pytest.param(["compare", "--threshold", "nan"], None, 2, id="threshold-nan"),
         pytest.param(["compare"], {"k": 8.7}, 2, id="config-k-fractional"),
         pytest.param(["compare"], {"seed": True}, 2, id="config-seed-boolean"),
+        pytest.param(["compare", "--k", "9"], None, 2, id="compare-k-above-bands"),
+        pytest.param(["classify", "--method", "MIM", "--k", "9"], None, 2,
+                     id="classify-k-above-bands"),
+        pytest.param(["compare", "--methods", "MIM,mim"], None, 2, id="methods-duplicate"),
     ],
 )
 def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, config, code):
