@@ -19,15 +19,12 @@ from .datamodel import (
     HyperCube,
     QuantizedCube,
     label_series,
-    labeled_series,
     quantize_cube,
 )
 from .errors import ConfigError, DataError, IgbsError, MethodError
 from .infotheory import (
-    JointHistogram,
     entropy,
     interaction_information,
-    joint_histogram,
     mutual_information,
 )
 from .pipeline import run_compare
@@ -52,7 +49,6 @@ __all__ = [
     "GroundTruth",
     "HyperCube",
     "IgbsError",
-    "JointHistogram",
     "METHODS",
     "MethodError",
     "QuantizedCube",
@@ -69,10 +65,8 @@ __all__ = [
     "generate_cube",
     "greedy_select",
     "interaction_information",
-    "joint_histogram",
     "knn_predict",
     "label_series",
-    "labeled_series",
     "load_cube",
     "load_gt",
     "mutual_information",

@@ -35,7 +35,8 @@ class SplitPlan:
 def stratified_split(
     gt: GroundTruth, fraction: float = DEFAULT_FRACTION, seed: int = 0
 ) -> SplitPlan:
-    """Per class: seeded shuffle, first floor(fraction*n) pixels to train.
+    """Per class: seeded shuffle, first floor(fraction*n) pixels to train;
+    a class that would get none is a DataError naming it.
 
     The assignment is a deterministic function of (seed, gt).
     """
@@ -50,6 +51,11 @@ def stratified_split(
             raise DataError(f"class {int(cls)} has fewer than 2 labeled pixels")
         perm = idx[rng.permutation(idx.size)]
         n_train = math.floor(fraction * idx.size)
+        if n_train == 0:
+            raise DataError(
+                f"fraction {fraction} leaves class {int(cls)} ({idx.size} pixels) "
+                "no training pixel"
+            )
         train.append(perm[:n_train])
         test.append(perm[n_train:])
     return SplitPlan(

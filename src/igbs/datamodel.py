@@ -166,35 +166,18 @@ def quantize_cube(cube: HyperCube, levels: int = DEFAULT_LEVELS) -> QuantizedCub
     return QuantizedCube(values=q, levels=levels)
 
 
-def _check_geometry(qcube: QuantizedCube, gt: GroundTruth) -> None:
+def labeled_matrix(qcube: QuantizedCube, gt: GroundTruth) -> np.ndarray:
+    """All bands' labeled-pixel series as one (bands, n_labeled) array, with
+    pixels in row-major order."""
     if (qcube.rows, qcube.cols) != (gt.rows, gt.cols):
         raise DataError(
             f"geometry mismatch: cube {qcube.rows}x{qcube.cols} "
             f"vs ground truth {gt.rows}x{gt.cols}"
         )
-
-
-def labeled_series(qcube: QuantizedCube, gt: GroundTruth, band: int) -> DiscreteSeries:
-    """One band's quantized values at the labeled pixels, row-major order."""
-    _check_geometry(qcube, gt)
-    if not 0 <= band < qcube.bands:
-        raise DataError(f"band {band} out of range [0, {qcube.bands})")
-    if gt.n_labeled == 0:
-        raise DataError("ground truth has no labeled pixels")
-    return DiscreteSeries(symbols=qcube.values[band][gt.mask], alphabet=qcube.levels)
+    return qcube.values[:, gt.mask]
 
 
 def label_series(gt: GroundTruth) -> DiscreteSeries:
     """The class labels of the labeled pixels, in the same row-major order."""
-    if gt.n_labeled == 0:
-        raise DataError("ground truth has no labeled pixels")
     labels = gt.labels[gt.mask]
     return DiscreteSeries(symbols=labels, alphabet=int(labels.max()) + 1)
-
-
-def labeled_matrix(qcube: QuantizedCube, gt: GroundTruth) -> np.ndarray:
-    """All bands' labeled-pixel series as one (bands, n_labeled) array."""
-    _check_geometry(qcube, gt)
-    if gt.n_labeled == 0:
-        raise DataError("ground truth has no labeled pixels")
-    return qcube.values[:, gt.mask]

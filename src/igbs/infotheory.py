@@ -9,8 +9,7 @@ like with like and results are deterministic. Empty cells are skipped
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
 
 import numpy as np
 
@@ -19,57 +18,17 @@ from .datamodel import DiscreteSeries
 from .errors import DataError
 
 
-@dataclass(frozen=True, eq=False)
-class JointHistogram:
-    """Co-occurrence counts over 1-3 discrete variables."""
-
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim not in (1, 2, 3):
-            raise DataError(f"histogram must have 1-3 axes, got {counts.ndim}")
-        if (counts < 0).any():
-            raise DataError("histogram counts must be nonnegative")
-        if int(counts.sum()) != self.total or self.total < 1:
-            raise DataError("histogram total must equal the sum of counts (>= 1)")
-        object.__setattr__(self, "counts", counts)
-
-    def marginalize(self, axis: int) -> "JointHistogram":
-        """Sum one axis away; the total is preserved."""
-        if self.counts.ndim == 1:
-            raise DataError("cannot marginalize a 1-D histogram")
-        return JointHistogram(counts=self.counts.sum(axis=axis), total=self.total)
-
-
-def joint_histogram(series: Sequence[DiscreteSeries]) -> JointHistogram:
-    """Count co-occurrences of 1-3 equal-length discrete series."""
-    if not 1 <= len(series) <= 3:
-        raise DataError(f"expected 1-3 series, got {len(series)}")
-    n = len(series[0])
-    if any(len(s) != n for s in series):
-        raise DataError("series lengths differ")
-    if len(series) == 1:
-        counts = np.bincount(series[0].symbols, minlength=series[0].alphabet)
-        counts = counts.astype(np.int64, copy=False)
-    else:
-        # three series count as the pair of the first two against the third
-        x = series[0] if len(series) == 2 else pair_series(series[0], series[1])
-        z = series[-1]
-        counts = accel.hist2d(x.symbols, z.symbols, x.alphabet, z.alphabet)
-        counts = counts.reshape([s.alphabet for s in series])
-    return JointHistogram(counts=counts, total=n)
-
-
 def _entropy_counts(counts: np.ndarray, total: int) -> float:
     p = counts[counts > 0] / total
     return float(-(p * np.log2(p)).sum())
 
 
-def entropy(hist: JointHistogram) -> float:
-    """Shannon entropy of the (joint) distribution, in bits."""
-    return _entropy_counts(hist.counts.ravel(), hist.total)
+def entropy(*series: DiscreteSeries) -> float:
+    """Joint Shannon entropy of one or more equal-length series, in bits."""
+    if not series:
+        raise DataError("entropy needs at least one series")
+    joint = reduce(pair_series, series)
+    return _entropy_counts(np.bincount(joint.symbols, minlength=joint.alphabet), len(joint))
 
 
 def mutual_information(x: DiscreteSeries, y: DiscreteSeries) -> float:

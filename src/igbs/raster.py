@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,9 +112,14 @@ def load_gt(path: str, rows: int | None = None, cols: int | None = None) -> Grou
     """
     if path.endswith(".csv"):
         try:
-            grid = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+            with warnings.catch_warnings():
+                # numpy only warns on a file without rows; it is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                grid = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot parse {path}: {exc}") from exc
+        if grid.size == 0:
+            raise DataError(f"{path}: ground truth CSV has no rows")
     else:
         if rows is None or cols is None:
             raise DataError("raw ground truth needs rows and cols from the cube")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import DEFAULT_C, DEFAULT_FRACTION, DEFAULT_TOL
 from .datamodel import DEFAULT_LEVELS, MAX_LEVELS
-from .errors import ConfigError, build_record, cast_fields, read_json_object
+from .errors import ConfigError, cast_fields
 from .errors import finite, integer, optional, sequence, text
 from .selection import (
     DEFAULT_BETA,
@@ -94,14 +94,6 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        return build_record(cls, raw, ConfigError)
-
-    @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
-        return cls.from_dict(read_json_object(path, ConfigError))
 
     @classmethod
     def from_report(cls, path: str) -> "RunConfig":

@@ -65,8 +65,7 @@ class SelectionState:
         return self._pair_mi[key]
 
     def rebuild_estimated_gt(self) -> None:
-        est = _mean_rounded(self.band_series, self.selected)
-        self.estimated_gt = DiscreteSeries(symbols=est, alphabet=self.levels)
+        self.estimated_gt = _estimated_map(self.band_series, self.selected, self.levels)
         self._gt_est_pair = pair_series(self.labels, self.estimated_gt)
 
 
@@ -77,10 +76,12 @@ class SelectionResult:
     step_scores: list[float]
 
 
-def _mean_rounded(band_series: np.ndarray, bands) -> np.ndarray:
+def _estimated_map(matrix: np.ndarray, bands, levels: int) -> DiscreteSeries:
+    """Pixel-wise mean of the given rows of a labeled matrix, rounded
+    half-up: the estimated class map."""
     idx = list(bands)
-    mean = band_series[idx].sum(axis=0) / len(idx)
-    return round_half_up(mean).astype(np.int64)
+    mean = matrix[idx].sum(axis=0) / len(idx)
+    return DiscreteSeries(symbols=round_half_up(mean).astype(np.int64), alphabet=levels)
 
 
 def relevance_scores(qcube: QuantizedCube, gt: GroundTruth) -> np.ndarray:
@@ -108,8 +109,7 @@ def build_estimated_gt(
     bad = [b for b in idx if not 0 <= b < qcube.bands]
     if bad:
         raise DataError(f"bands out of range [0, {qcube.bands}): {bad}")
-    mat = labeled_matrix(qcube, gt)
-    return DiscreteSeries(symbols=_mean_rounded(mat, idx), alphabet=qcube.levels)
+    return _estimated_map(labeled_matrix(qcube, gt), idx, qcube.levels)
 
 
 def score_mifs(candidate: int, state: SelectionState, beta: float = DEFAULT_BETA) -> float:
@@ -215,25 +215,16 @@ def _mibf_loop(state: SelectionState, k: int, threshold: float, scores: list) ->
     # candidates visited in descending relevance (ties: lowest index); a
     # rejected candidate is discarded for good
     order = sorted(state.remaining, key=lambda b: (-state.relevance[b], b))
-    current_mi = mutual_information(
-        DiscreteSeries(
-            symbols=_mean_rounded(state.band_series, state.selected),
-            alphabet=state.levels,
-        ),
-        state.labels,
-    )
+    # the map of the one selected band is that band, so its MI is relevance
+    current_mi = float(state.relevance[state.selected[0]])
     for cand in order:
         if len(state.selected) >= k:
             break
-        trial = DiscreteSeries(
-            symbols=_mean_rounded(state.band_series, state.selected + [cand]),
-            alphabet=state.levels,
-        )
+        trial = _estimated_map(state.band_series, state.selected + [cand], state.levels)
         trial_mi = mutual_information(trial, state.labels)
         gain = trial_mi - current_mi
         state.remaining.remove(cand)
         if gain > threshold:
             state.selected.append(cand)
-            state.estimated_gt = trial
             current_mi = trial_mi
             scores.append(float(gain))

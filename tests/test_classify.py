@@ -68,6 +68,11 @@ class TestStratifiedSplit:
         with pytest.raises(DataError, match="class 1"):
             stratified_split(gt, fraction=0.5, seed=0)
 
+    def test_class_left_untrained_rejected_by_name(self):
+        gt = grid_gt([10, 3])  # floor(0.3 * 3) = 0 training pixels for class 2
+        with pytest.raises(DataError, match="class 2"):
+            stratified_split(gt, fraction=0.3, seed=0)
+
     def test_fraction_bounds(self):
         gt = grid_gt([4, 4])
         with pytest.raises(ConfigError):

@@ -8,7 +8,6 @@ from igbs.datamodel import (
     QuantizedCube,
     label_series,
     labeled_matrix,
-    labeled_series,
     quantize_cube,
 )
 from igbs.errors import DataError
@@ -106,14 +105,14 @@ class TestLabeledSeries:
     def test_mask_count(self):
         q = QuantizedCube(values=np.arange(4).reshape(1, 2, 2), levels=4)
         gt = GroundTruth(labels=np.array([[1, 0], [2, 2]]))
-        s = labeled_series(q, gt, 0)
-        assert len(s) == 3
-        assert s.symbols.tolist() == [0, 2, 3]  # row-major order
+        row = labeled_matrix(q, gt)[0]
+        assert len(row) == 3
+        assert row.tolist() == [0, 2, 3]  # row-major order
 
     def test_all_labeled_full_length(self):
         q = QuantizedCube(values=np.zeros((1, 3, 4), dtype=int), levels=2)
         gt = GroundTruth(labels=np.array([[1] * 4, [2] * 4, [1] * 4]))
-        assert len(labeled_series(q, gt, 0)) == 12
+        assert len(labeled_matrix(q, gt)[0]) == 12
 
     def test_paired_order_matches_label_series(self):
         rng = np.random.default_rng(8)
@@ -122,12 +121,13 @@ class TestLabeledSeries:
         labels[0, 0], labels[0, 1] = 1, 2  # ensure two classes
         gt = GroundTruth(labels=labels)
         ls = label_series(gt)
+        mat = labeled_matrix(q, gt)
         for band in range(3):
-            bs = labeled_series(q, gt, band)
+            bs = mat[band]
             assert len(bs) == len(ls)
             # same pixel ordering: check one known position
             flat_band = q.values[band][gt.mask]
-            assert (bs.symbols == flat_band).all()
+            assert (bs == flat_band).all()
 
     def test_labeled_matrix_agrees(self):
         rng = np.random.default_rng(9)
@@ -137,16 +137,11 @@ class TestLabeledSeries:
         gt = GroundTruth(labels=labels)
         mat = labeled_matrix(q, gt)
         for band in range(3):
-            assert (mat[band] == labeled_series(q, gt, band).symbols).all()
-
-    def test_band_out_of_range(self):
-        q = QuantizedCube(values=np.zeros((2, 2, 2), dtype=int), levels=2)
-        gt = GroundTruth(labels=np.array([[1, 2], [0, 0]]))
-        with pytest.raises(DataError):
-            labeled_series(q, gt, 2)
+            pixels = [q.values[band, r, c] for r in range(4) for c in range(4) if labels[r, c]]
+            assert mat[band].tolist() == pixels
 
     def test_geometry_mismatch(self):
         q = QuantizedCube(values=np.zeros((1, 2, 2), dtype=int), levels=2)
         gt = GroundTruth(labels=np.array([[1, 2, 1], [0, 0, 0]]))
         with pytest.raises(DataError, match="geometry"):
-            labeled_series(q, gt, 0)
+            labeled_matrix(q, gt)

@@ -7,10 +7,8 @@ import brute
 from igbs.datamodel import DiscreteSeries
 from igbs.errors import DataError
 from igbs.infotheory import (
-    JointHistogram,
     entropy,
     interaction_information,
-    joint_histogram,
     mutual_information,
     pair_series,
 )
@@ -28,66 +26,57 @@ def random_series(rng, length, alphabet):
 
 
 class TestJointHistogram:
+    """Joint entropy over the cells of the series' joint counts."""
+
     def test_single_series_counts(self):
-        h = joint_histogram([series([0, 0, 1, 1])])
-        assert h.counts.tolist() == [2, 2]
-        assert h.total == 4
+        assert entropy(series([0, 0, 1, 1])) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_binary_series_diagonal(self):
         x = series([0, 0, 1, 1])
-        h = joint_histogram([x, x])
-        assert h.counts.tolist() == [[2, 0], [0, 2]]
+        assert entropy(x, x) == entropy(x)
 
     def test_product_structure(self):
-        h = joint_histogram([series([0, 0, 1, 1]), series([0, 1, 0, 1])])
-        assert h.counts.tolist() == [[1, 1], [1, 1]]
+        h = entropy(series([0, 0, 1, 1]), series([0, 1, 0, 1]))
+        assert h == pytest.approx(2.0, abs=1e-12)
 
     def test_three_series_counts_each_cell(self):
         rng = np.random.default_rng(2)
         trio = [random_series(rng, 60, a) for a in (2, 3, 4)]
         expected = np.zeros((2, 3, 4), dtype=np.int64)
         np.add.at(expected, tuple(s.symbols for s in trio), 1)
-        h = joint_histogram(trio)
-        assert h.counts.shape == (2, 3, 4)
-        assert (h.counts == expected).all()
+        p = expected[expected > 0] / 60
+        assert entropy(*trio) == pytest.approx(float(-(p * np.log2(p)).sum()), abs=1e-12)
 
-    def test_marginalize_preserves_total(self):
+    def test_pair_is_the_entropy_of_the_paired_series(self):
         rng = np.random.default_rng(0)
-        h = joint_histogram(
-            [random_series(rng, 50, 3), random_series(rng, 50, 4)]
-        )
-        m = h.marginalize(0)
-        assert m.total == h.total
-        assert m.counts.tolist() == h.counts.sum(axis=0).tolist()
+        x, y = random_series(rng, 50, 3), random_series(rng, 50, 4)
+        assert entropy(x, y) == entropy(pair_series(x, y))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
-            joint_histogram([series([0, 1]), series([0, 1, 1])])
+            entropy(series([0, 1]), series([0, 1, 1]))
 
-    def test_negative_counts_rejected(self):
+    def test_no_series_rejected(self):
         with pytest.raises(DataError):
-            JointHistogram(counts=np.array([2, -1]), total=1)
+            entropy()
 
 
 class TestEntropy:
     def test_fair_coin_is_one_bit(self):
-        h = joint_histogram([series([0, 1, 0, 1])])
-        assert entropy(h) == pytest.approx(1.0, abs=1e-12)
+        assert entropy(series([0, 1, 0, 1])) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_series_is_zero(self):
-        h = joint_histogram([series([0, 0, 0], alphabet=1)])
-        assert entropy(h) == 0.0
+        assert entropy(series([0, 0, 0], alphabet=1)) == 0.0
 
     def test_uniform_16_symbols_is_four_bits(self):
-        h = joint_histogram([series(np.arange(16))])
-        assert entropy(h) == pytest.approx(4.0, abs=1e-12)
+        assert entropy(series(np.arange(16))) == pytest.approx(4.0, abs=1e-12)
 
     def test_bounded_by_log_alphabet(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             a = int(rng.integers(2, 6))
             x = random_series(rng, int(rng.integers(1, 70)), a)
-            h = entropy(joint_histogram([x]))
+            h = entropy(x)
             assert -1e-12 <= h <= np.log2(a) + 1e-12
 
 
@@ -125,7 +114,7 @@ class TestMutualInformation:
         for _ in range(50):
             x = random_series(rng, int(rng.integers(2, 64)), int(rng.integers(2, 5)))
             assert mutual_information(x, x) == pytest.approx(
-                entropy(joint_histogram([x])), abs=1e-9
+                entropy(x), abs=1e-9
             )
 
     def test_length_mismatch_rejected(self):
@@ -168,9 +157,9 @@ class TestInteractionInformation:
             c = random_series(rng, n, int(rng.integers(2, 5)))
             grouped = mutual_information(a, pair_series(b, c))
             direct = (
-                entropy(joint_histogram([a]))
-                + entropy(joint_histogram([b, c]))
-                - entropy(joint_histogram([a, b, c]))
+                entropy(a)
+                + entropy(b, c)
+                - entropy(a, b, c)
             )
             assert grouped == pytest.approx(direct, abs=1e-9)
 
@@ -183,10 +172,10 @@ class TestAgainstBruteForce:
             a = random_series(rng, n, int(rng.integers(2, 5)))
             b = random_series(rng, n, int(rng.integers(2, 5)))
             c = random_series(rng, n, int(rng.integers(2, 5)))
-            assert entropy(joint_histogram([a])) == pytest.approx(
+            assert entropy(a) == pytest.approx(
                 brute.entropy_bits(a.symbols.tolist()), abs=1e-9
             )
-            assert entropy(joint_histogram([a, b, c])) == pytest.approx(
+            assert entropy(a, b, c) == pytest.approx(
                 brute.entropy_bits(
                     a.symbols.tolist(), b.symbols.tolist(), c.symbols.tolist()
                 ),

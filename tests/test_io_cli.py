@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from igbs import classify, pipeline, raster
 from igbs.cli import main
 from igbs.datamodel import GroundTruth, HyperCube
-from igbs.errors import ConfigError, DataError, MethodError
+from igbs.errors import ConfigError, DataError, MethodError, build_record, read_json_object
 from igbs.report import MethodOutcome, RunConfig, render_comparison, render_method_report
 from igbs.synth import SynthSpec, generate_cube
 
@@ -335,7 +336,7 @@ def test_run_compare_output_bytes_are_fixed(tmp_path):
 class TestRunConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig.from_dict({"bogus": 1})
+            build_record(RunConfig, {"bogus": 1}, ConfigError)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
@@ -356,7 +357,7 @@ class TestRunConfig:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"k": 7, "classifier": "1nn", "methods": ["MIM"]}))
-        config = RunConfig.from_json(str(path))
+        config = build_record(RunConfig, read_json_object(str(path), ConfigError), ConfigError)
         assert config.k == 7
         assert config.classifier == "1nn"
 
@@ -466,6 +467,10 @@ class TestCli:
         pytest.param(["classify", "--method", "MIM", "--k", "9"], None, 2,
                      id="classify-k-above-bands"),
         pytest.param(["compare", "--methods", "MIM,mim"], None, 2, id="methods-duplicate"),
+        pytest.param(["compare", "--fraction", "0.01"], None, 3,
+                     id="compare-fraction-trains-no-class"),
+        pytest.param(["classify", "--method", "MIM", "--fraction", "0.01"], None, 3,
+                     id="classify-fraction-trains-no-class"),
     ],
 )
 def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, config, code):
@@ -482,6 +487,7 @@ def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, co
     err = capsys.readouterr().err
     assert err.strip() and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # Each header text once ended in a traceback or was silently accepted.
@@ -501,6 +507,21 @@ def test_bad_header_exits_3_with_one_line(tmp_path, capsys, header):
     argv = ["render", "--cube", base, "--gt", str(tmp_path / "gt.csv"),
             "--out", str(tmp_path / "map.ppm")]
     assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.strip() and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# numpy only warns on a CSV without rows, and pytest's warning capture would
+# hide that warning from capsys, so warnings are raised as errors here.
+@pytest.mark.parametrize("text", [pytest.param("", id="empty"), pytest.param("\n\n", id="blank")])
+def test_empty_gt_csv_exits_3_with_one_line(tmp_path, capsys, text):
+    (tmp_path / "gt.csv").write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["render", "--gt", str(tmp_path / "gt.csv"),
+                     "--out", str(tmp_path / "map.ppm")])
+    assert code == 3
     err = capsys.readouterr().err
     assert err.strip() and err.count("\n") == 1
     assert "Traceback" not in err

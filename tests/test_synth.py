@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from igbs.datamodel import label_series, labeled_series, quantize_cube
+from igbs.datamodel import DiscreteSeries, label_series, labeled_matrix, quantize_cube
 from igbs.errors import DataError
-from igbs.infotheory import entropy, joint_histogram, mutual_information, pair_series
+from igbs.infotheory import entropy, mutual_information, pair_series
 from igbs.selection import relevance_scores
 from igbs.synth import SynthSpec, generate_cube, tile_labels
 
@@ -41,7 +41,7 @@ class TestGenerate:
                          informative_bands=(2,), noise_sigma=0.0, seed=1)
         cube, gt, _ = generate_cube(spec)
         rel = relevance_scores(quantize_cube(cube, 16), gt)
-        h_gt = entropy(joint_histogram([label_series(gt)]))
+        h_gt = entropy(label_series(gt))
         assert rel[2] == pytest.approx(h_gt, abs=1e-12)
 
     def test_noiseless_planes_jointly_recover_all_classes(self):
@@ -51,11 +51,13 @@ class TestGenerate:
         cube, gt, _ = generate_cube(spec)
         qcube = quantize_cube(cube, 16)
         gt_series = label_series(gt)
-        h_gt = entropy(joint_histogram([gt_series]))
+        h_gt = entropy(gt_series)
         rel = relevance_scores(qcube, gt)
         assert rel[2] < h_gt and rel[5] < h_gt
+        mat = labeled_matrix(qcube, gt)
         joined = pair_series(
-            labeled_series(qcube, gt, 2), labeled_series(qcube, gt, 5)
+            DiscreteSeries(symbols=mat[2], alphabet=qcube.levels),
+            DiscreteSeries(symbols=mat[5], alphabet=qcube.levels),
         )
         assert mutual_information(joined, gt_series) == pytest.approx(h_gt, abs=1e-12)
 
