@@ -125,13 +125,13 @@ def cmd_synth(args) -> int:
 
 def cmd_render(args) -> int:
     config = _record(RunConfig, args)
-    if args.bands and not config.cube:
+    if args.bands is not None and not config.cube:
         raise ConfigError("--bands needs --cube to build the estimated map")
     if config.cube:
         cube, gt = load_dataset(config)
     else:
         gt = raster.load_gt(config.gt)
-    if args.bands:
+    if args.bands is not None:
         cast_fields(args, [("bands", sequence(integer))], ConfigError)
         est = build_estimated_gt(quantize_cube(cube, config.levels), gt, args.bands)
         grid = raster.series_to_grid(est.symbols, gt, offset=1)

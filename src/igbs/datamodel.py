@@ -167,14 +167,16 @@ def quantize_cube(cube: HyperCube, levels: int = DEFAULT_LEVELS) -> QuantizedCub
 
 
 def labeled_matrix(qcube: QuantizedCube, gt: GroundTruth) -> np.ndarray:
-    """All bands' labeled-pixel series as one (bands, n_labeled) array, with
-    pixels in row-major order."""
+    """All bands' labeled-pixel series as one C-ordered (bands, n_labeled)
+    array, with pixels in row-major order, so each band's series is a
+    contiguous row."""
     if (qcube.rows, qcube.cols) != (gt.rows, gt.cols):
         raise DataError(
             f"geometry mismatch: cube {qcube.rows}x{qcube.cols} "
             f"vs ground truth {gt.rows}x{gt.cols}"
         )
-    return qcube.values[:, gt.mask]
+    # one copy; values[:, mask] is the same array in Fortran order
+    return np.take(qcube.values.reshape(qcube.bands, -1), np.flatnonzero(gt.mask), axis=1)
 
 
 def label_series(gt: GroundTruth) -> DiscreteSeries:

@@ -30,9 +30,10 @@ def load_dataset(config: RunConfig) -> tuple[HyperCube, GroundTruth]:
 
 
 def band_features(qcube: QuantizedCube, gt: GroundTruth, bands) -> np.ndarray:
-    """Selected bands' quantized values at labeled pixels, scaled to [0, 1]."""
+    """Selected bands' quantized values at labeled pixels, scaled to [0, 1],
+    as a C-ordered (n_labeled, |bands|) array."""
     mat = labeled_matrix(qcube, gt)
-    return mat[list(bands)].T.astype(np.float64) / (qcube.levels - 1)
+    return np.ascontiguousarray(mat[list(bands)].T, dtype=np.float64) / (qcube.levels - 1)
 
 
 def run_method(

@@ -85,22 +85,16 @@ def load_cube(header_path: str) -> HyperCube:
     return HyperCube(values=values)
 
 
-def save_cube(cube: HyperCube, base_path: str, dtype: str = "f32") -> tuple[str, str]:
-    """Write ``<base>.hdr.json`` + ``<base>.raw``; returns the two paths."""
-    header = CubeHeader(rows=cube.rows, cols=cube.cols, bands=cube.bands, dtype=dtype)
-    if dtype == "u16":
-        values = cube.values
-        if (values < 0).any() or (values > 65535).any() or (values % 1 != 0).any():
-            raise DataError("u16 export needs integral values in [0, 65535]")
-        out = values.astype("<u2")
-    else:
-        out = cube.values.astype("<f4")
+def save_cube(cube: HyperCube, base_path: str) -> tuple[str, str]:
+    """Write ``<base>.hdr.json`` + ``<base>.raw`` as f32; returns the two
+    paths."""
+    header = CubeHeader(rows=cube.rows, cols=cube.cols, bands=cube.bands)
     header_path = base_path + ".hdr.json"
     raw_path = base_path + ".raw"
     with open(header_path, "w", encoding="utf-8") as fh:
         json.dump(header.__dict__, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    out.tofile(raw_path)
+    cube.values.astype("<f4").tofile(raw_path)
     return header_path, raw_path
 
 

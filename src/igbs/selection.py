@@ -7,6 +7,11 @@ and the information-gain criterion (IGBS) that adds the normalized
 interaction between the class map, the estimated class map and the
 candidate band to the relevance term.
 
+``init_state`` is the one place a greedy run turns ``(qcube, gt)`` into
+arrays: it extracts the labeled pixels once, wraps each band row as a
+``DiscreteSeries`` once and scores band relevance from those series, so
+``init_state(qcube, gt).relevance`` is the relevance vector.
+
 Every step breaks score ties toward the lowest band index, so results are
 exactly reproducible regardless of how candidate scoring is scheduled.
 """
@@ -40,32 +45,25 @@ class SelectionState:
     """Working state of one greedy run; score functions read it, the loop
     mutates it."""
 
-    band_series: np.ndarray  # (bands, n_labeled) quantized values
+    matrix: np.ndarray  # (bands, n_labeled) quantized values, C-ordered
+    series: list[DiscreteSeries]  # one per row of the matrix
     labels: DiscreteSeries
     levels: int
     relevance: np.ndarray
     selected: list[int] = field(default_factory=list)
     remaining: list[int] = field(default_factory=list)
     estimated_gt: DiscreteSeries | None = None
-    _series: dict = field(default_factory=dict, repr=False)
     _pair_mi: dict = field(default_factory=dict, repr=False)
     _gt_est_pair: DiscreteSeries | None = field(default=None, repr=False)
-
-    def band(self, i: int) -> DiscreteSeries:
-        if i not in self._series:
-            self._series[i] = DiscreteSeries(
-                symbols=self.band_series[i], alphabet=self.levels
-            )
-        return self._series[i]
 
     def pair_mi(self, i: int, j: int) -> float:
         key = (i, j) if i < j else (j, i)
         if key not in self._pair_mi:
-            self._pair_mi[key] = mutual_information(self.band(i), self.band(j))
+            self._pair_mi[key] = mutual_information(self.series[i], self.series[j])
         return self._pair_mi[key]
 
     def rebuild_estimated_gt(self) -> None:
-        self.estimated_gt = _estimated_map(self.band_series, self.selected, self.levels)
+        self.estimated_gt = _estimated_map(self.matrix, self.selected, self.levels)
         self._gt_est_pair = pair_series(self.labels, self.estimated_gt)
 
 
@@ -84,18 +82,9 @@ def _estimated_map(matrix: np.ndarray, bands, levels: int) -> DiscreteSeries:
     return DiscreteSeries(symbols=round_half_up(mean).astype(np.int64), alphabet=levels)
 
 
-def relevance_scores(qcube: QuantizedCube, gt: GroundTruth) -> np.ndarray:
-    """MI(band, ground truth) in bits, for every band, over labeled pixels."""
-    mat = labeled_matrix(qcube, gt)
-    labels = label_series(gt)
-    return np.array(
-        [
-            mutual_information(
-                DiscreteSeries(symbols=mat[b], alphabet=qcube.levels), labels
-            )
-            for b in range(qcube.bands)
-        ]
-    )
+def relevance_scores(series, labels: DiscreteSeries) -> np.ndarray:
+    """MI(band, ground truth) in bits, for every band series."""
+    return np.array([mutual_information(s, labels) for s in series])
 
 
 def build_estimated_gt(
@@ -131,7 +120,7 @@ def score_igbs(candidate: int, state: SelectionState, lam: float = DEFAULT_LAMBD
     the estimated class map and the candidate."""
     if state._gt_est_pair is None:
         raise ConfigError("IGBS score needs an estimated ground truth")
-    cand = state.band(candidate)
+    cand = state.series[candidate]
     # interaction_information(labels, estimated_gt, cand) decomposed so that
     # the cached (labels, estimated_gt) pair and the relevance cache are reused
     gain = (
@@ -143,11 +132,16 @@ def score_igbs(candidate: int, state: SelectionState, lam: float = DEFAULT_LAMBD
 
 
 def init_state(qcube: QuantizedCube, gt: GroundTruth) -> SelectionState:
+    """The labeled pixels of every band, extracted once, and their relevance."""
+    matrix = labeled_matrix(qcube, gt)
+    series = [DiscreteSeries(symbols=row, alphabet=qcube.levels) for row in matrix]
+    labels = label_series(gt)
     return SelectionState(
-        band_series=labeled_matrix(qcube, gt),
-        labels=label_series(gt),
+        matrix=matrix,
+        series=series,
+        labels=labels,
         levels=qcube.levels,
-        relevance=relevance_scores(qcube, gt),
+        relevance=relevance_scores(series, labels),
         remaining=list(range(qcube.bands)),
     )
 
@@ -220,7 +214,7 @@ def _mibf_loop(state: SelectionState, k: int, threshold: float, scores: list) ->
     for cand in order:
         if len(state.selected) >= k:
             break
-        trial = _estimated_map(state.band_series, state.selected + [cand], state.levels)
+        trial = _estimated_map(state.matrix, state.selected + [cand], state.levels)
         trial_mi = mutual_information(trial, state.labels)
         gain = trial_mi - current_mi
         state.remaining.remove(cand)

@@ -29,7 +29,7 @@ from igbs.cli import main
 from igbs.datamodel import DiscreteSeries, GroundTruth, QuantizedCube, label_series, quantize_cube
 from igbs.infotheory import entropy, interaction_information, mutual_information
 from igbs.report import RunConfig
-from igbs.selection import METHODS, greedy_select, relevance_scores
+from igbs.selection import METHODS, greedy_select, init_state
 from igbs.synth import SynthSpec, generate_cube
 
 
@@ -163,7 +163,7 @@ def test_criterion_5_synthetic_recovery():
     labels = label_series(gt).symbols
     split = stratified_split(gt, fraction=0.5, seed=0)
     igbs5 = greedy_select(qcube, gt, "IGBS", k=5).selected
-    worst5 = np.argsort(relevance_scores(qcube, gt), kind="stable")[:5].tolist()
+    worst5 = np.argsort(init_state(qcube, gt).relevance, kind="stable")[:5].tolist()
 
     def knn_oa(bands):
         feats = pipeline.band_features(qcube, gt, bands)

@@ -140,6 +140,18 @@ class TestLabeledSeries:
             pixels = [q.values[band, r, c] for r in range(4) for c in range(4) if labels[r, c]]
             assert mat[band].tolist() == pixels
 
+    def test_c_ordered_and_equal_to_mask_indexing(self):
+        # each band row is what the estimators count, so it must be contiguous
+        rng = np.random.default_rng(10)
+        q = QuantizedCube(values=rng.integers(0, 4, size=(5, 6, 7)), levels=4)
+        labels = rng.integers(0, 3, size=(6, 7))
+        labels[0, 0], labels[0, 1] = 1, 2
+        gt = GroundTruth(labels=labels)
+        mat = labeled_matrix(q, gt)
+        assert mat.flags.c_contiguous
+        assert mat.dtype == q.values.dtype
+        assert np.array_equal(mat, q.values[:, gt.mask])
+
     def test_geometry_mismatch(self):
         q = QuantizedCube(values=np.zeros((1, 2, 2), dtype=int), levels=2)
         gt = GroundTruth(labels=np.array([[1, 2, 1], [0, 0, 0]]))

@@ -10,7 +10,7 @@ import pytest
 
 from igbs import classify, pipeline, raster
 from igbs.cli import main
-from igbs.datamodel import GroundTruth, HyperCube
+from igbs.datamodel import GroundTruth
 from igbs.errors import ConfigError, DataError, MethodError, build_record, read_json_object
 from igbs.report import MethodOutcome, RunConfig, render_comparison, render_method_report
 from igbs.synth import SynthSpec, generate_cube
@@ -43,9 +43,11 @@ class TestCubeFormat:
 
     def test_u16_round_trip(self, tmp_path):
         values = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-        base = str(tmp_path / "ints")
-        raster.save_cube(HyperCube(values=values), base, dtype="u16")
-        loaded = raster.load_cube(base + ".hdr.json")
+        (tmp_path / "ints.hdr.json").write_text(json.dumps(
+            {"rows": 3, "cols": 4, "bands": 2, "dtype": "u16",
+             "interleave": "bsq", "byte_order": "little"}))
+        values.astype("<u2").tofile(tmp_path / "ints.raw")
+        loaded = raster.load_cube(str(tmp_path / "ints.hdr.json"))
         assert (loaded.values == values).all()
 
     def test_truncated_raw_fails_closed(self, tmp_path):
@@ -451,6 +453,7 @@ class TestCli:
         pytest.param(["compare", "--levels", "1"], None, 2, id="levels-one"),
         pytest.param(["render", "--bands", "1,abc"], None, 2, id="render-bands-not-int"),
         pytest.param(["render", "--bands", "99"], None, 3, id="render-band-out-of-range"),
+        pytest.param(["render", "--bands", ""], None, 3, id="render-bands-empty"),
         pytest.param(["synth", "--seed", "-3"], None, 3, id="synth-seed-negative"),
         pytest.param(["synth"], {"seed": 1.5}, 2, id="synth-config-seed-fractional"),
         pytest.param(["synth"], {"informative_bands": 5}, 2, id="synth-config-bands-not-list"),

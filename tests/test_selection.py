@@ -11,7 +11,6 @@ from igbs.selection import (
     build_estimated_gt,
     greedy_select,
     init_state,
-    relevance_scores,
     score_igbs,
     score_mifs,
     score_mrmr,
@@ -41,13 +40,13 @@ class TestRelevance:
     def test_band_equal_to_labels_scores_class_entropy(self):
         labels = np.array([1, 1, 2, 2, 3, 3])
         qcube, gt = make_instance([labels - 1], labels, levels=3)
-        rel = relevance_scores(qcube, gt)
+        rel = init_state(qcube, gt).relevance
         h_gt = entropy(label_series(gt))
         assert rel[0] == pytest.approx(h_gt, abs=1e-12)
 
     def test_independent_band_scores_zero(self):
         qcube, gt = make_instance([[0, 1, 0, 1]], [1, 1, 2, 2], levels=2)
-        assert relevance_scores(qcube, gt)[0] == pytest.approx(0.0, abs=1e-12)
+        assert init_state(qcube, gt).relevance[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEstimatedGt:
@@ -87,7 +86,7 @@ class TestScores:
         state = init_state(qcube, gt)
         state.selected = [0]
         state.remaining = [1]
-        h_band = entropy(state.band(1))
+        h_band = entropy(state.series[1])
         expected = float(state.relevance[1]) - h_band
         assert score_mifs(1, state, beta=1.0) == pytest.approx(expected, abs=1e-12)
         assert score_mifs(1, state, beta=1.0) <= 0
@@ -199,7 +198,7 @@ class TestGreedy:
     def test_k1_is_max_relevance_band(self):
         rng = np.random.default_rng(1)
         qcube, gt = random_instance(rng)
-        rel = relevance_scores(qcube, gt)
+        rel = init_state(qcube, gt).relevance
         best = int(np.argmax(rel))
         for method in ("MIM", "MIFS", "MRMR", "MIBF", "IGBS"):
             res = greedy_select(qcube, gt, method, k=1)
@@ -208,7 +207,7 @@ class TestGreedy:
     def test_mim_is_sorted_relevance(self):
         rng = np.random.default_rng(2)
         qcube, gt = random_instance(rng)
-        rel = relevance_scores(qcube, gt)
+        rel = init_state(qcube, gt).relevance
         res = greedy_select(qcube, gt, "MIM", k=4)
         expected = sorted(range(qcube.bands), key=lambda b: (-rel[b], b))[:4]
         assert res.selected == expected
@@ -228,7 +227,7 @@ class TestGreedy:
         b2 = combos[:, 1] & combos[:, 2]  # lower relevance than b1
         labels = 2 * combos[:, 0] + combos[:, 1] + 1
         qcube, gt = make_instance([b0, b1, b2], labels, levels=2)
-        rel = relevance_scores(qcube, gt)
+        rel = init_state(qcube, gt).relevance
         assert rel[1] > rel[2]
         runner_up = 1
         for method, kwargs in (("MIFS", {"beta": 0.0}), ("MRMR", {})):

@@ -4,7 +4,7 @@ import pytest
 from igbs.datamodel import DiscreteSeries, label_series, labeled_matrix, quantize_cube
 from igbs.errors import DataError
 from igbs.infotheory import entropy, mutual_information, pair_series
-from igbs.selection import relevance_scores
+from igbs.selection import init_state
 from igbs.synth import SynthSpec, generate_cube, tile_labels
 
 
@@ -40,7 +40,7 @@ class TestGenerate:
         spec = SynthSpec(rows=16, cols=16, bands=6, classes=2,
                          informative_bands=(2,), noise_sigma=0.0, seed=1)
         cube, gt, _ = generate_cube(spec)
-        rel = relevance_scores(quantize_cube(cube, 16), gt)
+        rel = init_state(quantize_cube(cube, 16), gt).relevance
         h_gt = entropy(label_series(gt))
         assert rel[2] == pytest.approx(h_gt, abs=1e-12)
 
@@ -52,7 +52,7 @@ class TestGenerate:
         qcube = quantize_cube(cube, 16)
         gt_series = label_series(gt)
         h_gt = entropy(gt_series)
-        rel = relevance_scores(qcube, gt)
+        rel = init_state(qcube, gt).relevance
         assert rel[2] < h_gt and rel[5] < h_gt
         mat = labeled_matrix(qcube, gt)
         joined = pair_series(
@@ -66,7 +66,7 @@ class TestGenerate:
             spec = SynthSpec(rows=64, cols=64, bands=8, classes=4,
                              informative_bands=(), noise_sigma=1.0, seed=seed)
             cube, gt, _ = generate_cube(spec)
-            rel = relevance_scores(quantize_cube(cube, 16), gt)
+            rel = init_state(quantize_cube(cube, 16), gt).relevance
             assert rel.max() < 0.05
 
     def test_ten_sigma_separation_ranks_planted_above_noise(self):
@@ -74,7 +74,7 @@ class TestGenerate:
                          informative_bands=(3, 11, 25, 38, 44),
                          noise_sigma=1.0, class_separation=10.0, seed=2)
         cube, gt, meta = generate_cube(spec)
-        rel = relevance_scores(quantize_cube(cube, 16), gt)
+        rel = init_state(quantize_cube(cube, 16), gt).relevance
         planted = np.array(meta["informative_bands"])
         noise = np.setdiff1d(np.arange(50), planted)
         assert rel[planted].min() > rel[noise].max()
@@ -89,7 +89,7 @@ class TestGenerate:
                              informative_bands=(0, 1), noise_sigma=sigma,
                              class_separation=10.0, seed=3)
             cube, gt, _ = generate_cube(spec)
-            rel = relevance_scores(quantize_cube(cube, 16), gt)
+            rel = init_state(quantize_cube(cube, 16), gt).relevance
             scores.append(rel[[0, 1]].mean())
         assert (np.diff(scores) <= 1e-9).all()
 
