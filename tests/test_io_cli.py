@@ -335,6 +335,33 @@ def test_run_compare_output_bytes_are_fixed(tmp_path):
     assert digests == _GOLDEN
 
 
+# sha256 of the maps `render` writes: the ground truth of the small scene, an
+# estimated map on bands 1 and 4, and a CSV grid of class ids 0..47, which
+# wraps the 20-color palette twice
+_RENDER_GOLDEN = {
+    "gt": "d6f65cb617e304851d9f08047c189a4d6f3e22de04499648b08f2a42927b37cf",
+    "est": "085f7a27e2a4ca97041fb787be560b344d548295c0788cbe4f9cb27340d64b1f",
+    "wrap": "f04ef3fd18a65ada346543da9d2a40eb478d0ca9b13fc9f46e45378767600071",
+}
+
+
+def test_render_output_bytes_are_fixed(small_dataset, tmp_path, capsys):
+    base = small_dataset[0]
+    csv = tmp_path / "wrap.csv"
+    csv.write_text("".join(",".join(str(8 * r + c) for c in range(8)) + "\n" for r in range(6)))
+    runs = {
+        "gt": ["--cube", base, "--gt", base + ".gt.raw"],
+        "est": ["--cube", base, "--gt", base + ".gt.raw", "--bands", "1,4"],
+        "wrap": ["--gt", str(csv)],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        path = tmp_path / f"{name}.ppm"
+        assert main(["render", *argv, "--out", str(path)]) == 0
+        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == _RENDER_GOLDEN
+
+
 class TestRunConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
