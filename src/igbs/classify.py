@@ -75,7 +75,6 @@ class PairModel:
     alphas: np.ndarray  # duals over the support vectors, in (0, C]
     bias: float
     gamma: float
-    iterations: int
 
     def decision(self, features: np.ndarray) -> np.ndarray:
         k = accel.rbf_kernel(
@@ -142,7 +141,6 @@ def train_svm(
                 sv_coef=alpha[sv] * y[sv],
                 alphas=alpha[sv],
                 bias=float(bias),
-                iterations=int(iters),
                 gamma=float(gamma),
             )
             pairs.append(pair)

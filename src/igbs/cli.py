@@ -20,7 +20,7 @@ from .datamodel import quantize_cube
 from .errors import ConfigError, DataError, MethodError, build_record, cast_fields
 from .errors import integer, read_json_object, sequence
 from .pipeline import load_dataset, run_compare
-from .report import RunConfig
+from .report import FIELDS, RunConfig
 from .selection import METHODS, build_estimated_gt, greedy_select
 from .synth import SynthSpec, generate_cube
 
@@ -34,22 +34,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(sub):
-    # every flag is a plain string: the record casts and checks it
+    """``--config`` plus one flag per ``report.FIELDS`` row but ``methods``,
+    named by its report key (or field) with ``-`` for ``_``. Every flag is a
+    plain string: the record casts and checks it."""
     sub.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
-    sub.add_argument("--cube", help="cube base path or .hdr.json path")
-    sub.add_argument("--gt", help="ground truth path (.gt.raw or .csv)")
-    sub.add_argument("--k", help="number of bands to select")
-    sub.add_argument("--levels", help="quantization levels")
-    sub.add_argument("--beta", help="MIFS redundancy weight")
-    sub.add_argument("--threshold", help="MIBF acceptance threshold")
-    sub.add_argument("--lambda", dest="lam", help="IGBS interaction weight")
-    sub.add_argument("--classifier", help="svm or 1nn")
-    sub.add_argument("--svm-c", dest="svm_c")
-    sub.add_argument("--svm-gamma", dest="svm_gamma")
-    sub.add_argument("--svm-tol", dest="svm_tol")
-    sub.add_argument("--fraction", help="train fraction of labeled pixels")
-    sub.add_argument("--seed")
-    sub.add_argument("--out", help="output directory")
+    for name, _, key, _, help_text in FIELDS:
+        if name != "methods":
+            sub.add_argument("--" + (key or name).replace("_", "-"), dest=name, help=help_text)
 
 
 def _record(cls, args):
@@ -196,6 +187,10 @@ def main(argv=None) -> int:
         return 2
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy names the allocation it refused; Python's own MemoryError is bare
+        print(f"data error: input too large to hold in memory. {exc}".rstrip(), file=sys.stderr)
         return 3
     except MethodError as exc:
         print(f"method failure: {exc}", file=sys.stderr)

@@ -157,11 +157,12 @@ def quantize_cube(cube: HyperCube, levels: int = DEFAULT_LEVELS) -> QuantizedCub
     lo = values.min(axis=(1, 2), keepdims=True)
     hi = values.max(axis=(1, 2), keepdims=True)
     span = hi - lo
-    flat = span[:, 0, 0] == 0
+    # a constant band has values - lo == 0 exactly, so it maps to 0
     span = np.where(span == 0, 1.0, span)
     scaled = (values - lo) * ((levels - 1) / span)
     q = round_half_up(scaled).astype(np.int64)
-    q[flat] = 0
+    # a band whose range overflows float64 scales to NaN, which casts to
+    # an arbitrary integer
     np.clip(q, 0, levels - 1, out=q)
     return QuantizedCube(values=q, levels=levels)
 

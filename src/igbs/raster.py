@@ -11,6 +11,7 @@ partial raster.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -56,33 +57,34 @@ class CubeHeader:
         if self.byte_order != "little":
             raise DataError(f"unsupported byte order {self.byte_order!r}")
 
-    @property
-    def expected_bytes(self) -> int:
-        return self.rows * self.cols * self.bands * np.dtype(_DTYPES[self.dtype]).itemsize
-
 
 def cube_header_path(path: str) -> str:
     """The ``.hdr.json`` header for a cube given by base path or header path."""
     return path if path.endswith(".hdr.json") else path + ".hdr.json"
 
 
+def _read_raw(path: str, dtype: str, shape: tuple) -> np.ndarray:
+    """The little-endian ``dtype`` samples of a raw file, shaped ``shape``;
+    the file must hold exactly that many bytes."""
+    try:
+        actual = os.path.getsize(path)
+    except OSError as exc:
+        raise DataError(f"cannot stat {path}: {exc}") from exc
+    expected = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
+    if actual != expected:
+        raise DataError(
+            f"{path}: expected {expected} bytes "
+            f"({'x'.join(str(n) for n in shape)} {dtype}), got {actual}"
+        )
+    return np.fromfile(path, dtype=_DTYPES[dtype]).reshape(shape)
+
+
 def load_cube(header_path: str) -> HyperCube:
     """Decode a band-sequential cube; u16 samples widen to float."""
     header = build_record(CubeHeader, read_json_object(header_path, DataError), DataError)
-    raw_path = header_path[: -len(".hdr.json")] + ".raw"
-    try:
-        actual = os.path.getsize(raw_path)
-    except OSError as exc:
-        raise DataError(f"cannot stat {raw_path}: {exc}") from exc
-    if actual != header.expected_bytes:
-        raise DataError(
-            f"{raw_path}: expected {header.expected_bytes} bytes "
-            f"({header.bands}x{header.rows}x{header.cols} {header.dtype}), "
-            f"got {actual}"
-        )
-    data = np.fromfile(raw_path, dtype=_DTYPES[header.dtype])
-    values = data.reshape(header.bands, header.rows, header.cols).astype(np.float64)
-    return HyperCube(values=values)
+    raw = _read_raw(header_path[: -len(".hdr.json")] + ".raw", header.dtype,
+                    (header.bands, header.rows, header.cols))
+    return HyperCube(values=raw.astype(np.float64))
 
 
 def save_cube(cube: HyperCube, base_path: str) -> tuple[str, str]:
@@ -117,16 +119,7 @@ def load_gt(path: str, rows: int | None = None, cols: int | None = None) -> Grou
     else:
         if rows is None or cols is None:
             raise DataError("raw ground truth needs rows and cols from the cube")
-        try:
-            actual = os.path.getsize(path)
-        except OSError as exc:
-            raise DataError(f"cannot stat {path}: {exc}") from exc
-        if actual != rows * cols * 2:
-            raise DataError(
-                f"{path}: expected {rows * cols * 2} bytes ({rows}x{cols} u16), "
-                f"got {actual}"
-            )
-        grid = np.fromfile(path, dtype="<u2").reshape(rows, cols).astype(np.int64)
+        grid = _read_raw(path, "u16", (rows, cols)).astype(np.int64)
     if rows is not None and cols is not None and grid.shape != (rows, cols):
         raise DataError(
             f"{path}: ground truth is {grid.shape[0]}x{grid.shape[1]}, "
@@ -166,10 +159,8 @@ def export_map(grid: np.ndarray, path: str) -> str:
         raise DataError("map grid must be 2-D")
     if (grid < 0).any():
         raise DataError("map grid values must be nonnegative")
-    colors = np.zeros((int(grid.max()) + 1, 3), dtype=np.uint8)
-    for v in range(1, colors.shape[0]):
-        colors[v] = PALETTE[(v - 1) % len(PALETTE)]
-    pixels = colors[grid]
+    pixels = np.asarray(PALETTE, dtype=np.uint8)[(grid - 1) % len(PALETTE)]
+    pixels[grid == 0] = 0
     with open(path, "wb") as fh:
         fh.write(f"P6\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

@@ -29,24 +29,25 @@ from .selection import (
 CLASSIFIERS = ("svm", "1nn")
 
 # Every RunConfig field once, in report order: (field, cast, report key,
-# report text of None). A report writes the method it ran under ``method``
-# and does not record ``out``, the directory it was written to.
-_FIELDS = (
-    ("methods", sequence(lambda m: text(m).strip().upper()), "method", None),
-    ("cube", optional(text), "cube", "-"),
-    ("gt", optional(text), "gt", "-"),
-    ("k", integer, "k", None),
-    ("levels", integer, "levels", None),
-    ("beta", finite, "beta", None),
-    ("threshold", finite, "threshold", None),
-    ("lam", finite, "lambda", None),
-    ("classifier", text, "classifier", None),
-    ("svm_c", finite, "svm_c", None),
-    ("svm_gamma", optional(finite), "svm_gamma", "auto"),
-    ("svm_tol", finite, "svm_tol", None),
-    ("fraction", finite, "fraction", None),
-    ("seed", integer, "seed", None),
-    ("out", text, None, None),
+# report text of None, CLI help). A report writes the method it ran under
+# ``method`` and does not record ``out``, the directory it was written to.
+# The CLI's run flags are generated from this table.
+FIELDS = (
+    ("methods", sequence(lambda m: text(m).strip().upper()), "method", None, None),
+    ("cube", optional(text), "cube", "-", "cube base path or .hdr.json path"),
+    ("gt", optional(text), "gt", "-", "ground truth path (.gt.raw or .csv)"),
+    ("k", integer, "k", None, "number of bands to select"),
+    ("levels", integer, "levels", None, "quantization levels"),
+    ("beta", finite, "beta", None, "MIFS redundancy weight"),
+    ("threshold", finite, "threshold", None, "MIBF acceptance threshold"),
+    ("lam", finite, "lambda", None, "IGBS interaction weight"),
+    ("classifier", text, "classifier", None, "svm or 1nn"),
+    ("svm_c", finite, "svm_c", None, None),
+    ("svm_gamma", optional(finite), "svm_gamma", "auto", None),
+    ("svm_tol", finite, "svm_tol", None, None),
+    ("fraction", finite, "fraction", None, "train fraction of labeled pixels"),
+    ("seed", integer, "seed", None, None),
+    ("out", text, None, None, "output directory"),
 )
 
 
@@ -71,7 +72,7 @@ class RunConfig:
     def __post_init__(self):
         """The one place a run's configuration is checked: every field is
         coerced to its type, and anything malformed raises ConfigError."""
-        cast_fields(self, ((name, cast) for name, cast, _, _ in _FIELDS), ConfigError)
+        cast_fields(self, ((name, cast) for name, cast, *_ in FIELDS), ConfigError)
         unknown = [m for m in self.methods if m not in METHODS]
         # written so that NaN fails every range check
         checks = (
@@ -110,7 +111,7 @@ class RunConfig:
         if "method" not in values:
             raise ConfigError(f"{path} does not look like a method report")
         raw = {}
-        for name, _, key, none in _FIELDS:
+        for name, _, key, none, _ in FIELDS:
             if key is None:
                 continue
             if key not in values:
@@ -138,7 +139,7 @@ def _fmt(value) -> str:
 def _report_items(config: RunConfig, method: str) -> list[tuple[str, str]]:
     """(report key, text) of every reported field, in report order."""
     items = []
-    for name, _, key, none in _FIELDS:
+    for name, _, key, none, _ in FIELDS:
         if key is not None:
             value = method if name == "methods" else getattr(config, name)
             # an empty path prints like an absent one

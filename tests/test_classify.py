@@ -163,7 +163,6 @@ class TestPredictRules:
                 sv_coef=np.zeros(0),
                 alphas=np.zeros(0),
                 bias=bias,
-                iterations=0,
                 gamma=1.0,
             )
 

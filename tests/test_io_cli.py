@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from igbs import classify, pipeline, raster
+from igbs import classify, cli, pipeline, raster
 from igbs.cli import main
 from igbs.datamodel import GroundTruth
 from igbs.errors import ConfigError, DataError, MethodError, build_record, read_json_object
-from igbs.report import MethodOutcome, RunConfig, render_comparison, render_method_report
+from igbs.report import FIELDS, MethodOutcome, RunConfig, render_comparison, render_method_report
 from igbs.synth import SynthSpec, generate_cube
 
 
@@ -124,6 +124,16 @@ class TestMaps:
         body = open(path, "rb").read().split(b"255\n", 1)[1]
         pixels = [body[i : i + 3] for i in range(0, len(body), 3)]
         assert len(set(pixels)) == 1
+
+    def test_huge_class_id_renders_from_the_palette(self, tmp_path):
+        # a color table indexed by class id would need 10**12 rows
+        csv = tmp_path / "huge.csv"
+        csv.write_text("1000000000000,1\n2,0\n")
+        path = tmp_path / "huge.ppm"
+        assert main(["render", "--gt", str(csv), "--out", str(path)]) == 0
+        body = path.read_bytes()[len(b"P6\n2 2\n255\n"):]
+        assert body == (bytes(raster.PALETTE[19]) + bytes(raster.PALETTE[0])
+                        + bytes(raster.PALETTE[1]) + bytes(3))
 
     def test_series_to_grid_offsets_symbols(self):
         gt = GroundTruth(labels=np.array([[1, 0], [0, 2]]))
@@ -555,6 +565,50 @@ def test_empty_gt_csv_exits_3_with_one_line(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.strip() and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        pytest.param(MemoryError(), id="bare"),
+        pytest.param(MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                                 "(1000, 100000, 100000) and data type float64"), id="numpy"),
+    ],
+)
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, exc):
+    def generate_cube(spec):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate_cube", generate_cube)
+    assert main(["synth", "--out", str(tmp_path / "scene")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# The run flags are generated from report.FIELDS; this pins their names.
+_RUN_FLAGS = {
+    "cube": "--cube", "gt": "--gt", "k": "--k", "levels": "--levels", "beta": "--beta",
+    "threshold": "--threshold", "lam": "--lambda", "classifier": "--classifier",
+    "svm_c": "--svm-c", "svm_gamma": "--svm-gamma", "svm_tol": "--svm-tol",
+    "fraction": "--fraction", "seed": "--seed", "out": "--out",
+}
+
+
+def test_every_run_field_has_one_row_and_a_flag():
+    names = [row[0] for row in FIELDS]
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert set(_RUN_FLAGS) == set(names) - {"methods"}
+    parser = cli.build_parser()
+    for verb, method_flag in (("select", "--method"), ("classify", "--method"),
+                              ("compare", "--methods")):
+        argv = [verb, method_flag, "MIM"]
+        for name, flag in _RUN_FLAGS.items():
+            argv += [flag, f"<{name}>"]
+        args = parser.parse_args(argv)
+        assert args.methods == "MIM"
+        for name in _RUN_FLAGS:
+            assert getattr(args, name) == f"<{name}>", (verb, name)
 
 
 def test_help_exits_0(capsys):
