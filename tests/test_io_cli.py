@@ -372,6 +372,31 @@ def test_render_output_bytes_are_fixed(small_dataset, tmp_path, capsys):
     assert digests == _RENDER_GOLDEN
 
 
+# sha256 of what `compare --methods MIM --classifier 1nn` writes on a 4-level
+# scene where 178 of the 200 test pixels have more than one nearest train
+# pixel, so any change to how 1-NN distances are computed or tied shows here
+_KNN_GOLDEN = {
+    "MIM.map.ppm": "298b627450c01b2cdd932ace4bf3cdc31b73ce635d0440e870f099e29fb12acd",
+    "MIM.report.txt": "1bedd3e6929ef43e3ecfbd23bd03a2d00696548a02408bb2b359515bb9b5bde2",
+    "comparison.txt": "f575f6150a29eafb461e2802dffdc3421ff8ae1b85b8f1985ac3020f4c707733",
+}
+
+
+def test_knn_compare_output_bytes_are_fixed(tmp_path, monkeypatch, capsys):
+    spec = SynthSpec(rows=20, cols=20, bands=10, classes=4, informative_bands=(2, 5, 8),
+                     noise_sigma=2.0, class_separation=3.0, seed=7)
+    cube, gt, _ = generate_cube(spec)
+    monkeypatch.chdir(tmp_path)  # relative paths keep the report bytes fixed
+    raster.save_cube(cube, "scene")
+    raster.save_gt(gt, "scene.gt.raw")
+    argv = ["compare", "--cube", "scene", "--gt", "scene.gt.raw", "--methods", "MIM",
+            "--classifier", "1nn", "--levels", "4", "--k", "5", "--out", "out"]
+    assert main(argv) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert digests == _KNN_GOLDEN
+
+
 class TestRunConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
