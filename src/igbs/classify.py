@@ -178,6 +178,8 @@ def knn_predict(
         raise DataError("1-NN needs a nonempty training set")
     if train.ndim != 2 or test.ndim != 2 or train.shape[1] != test.shape[1]:
         raise DataError("train and test feature dimensions differ")
+    if not (np.isfinite(train).all() and np.isfinite(test).all()):
+        raise DataError("1-NN features must be finite")
     return labels[accel.nn1_index(train, test)]
 
 

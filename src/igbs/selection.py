@@ -135,7 +135,10 @@ def init_state(qcube: QuantizedCube, gt: GroundTruth) -> SelectionState:
     """The labeled pixels of every band, extracted once, and their relevance."""
     matrix = labeled_matrix(qcube, gt)
     series = [DiscreteSeries(symbols=row, alphabet=qcube.levels) for row in matrix]
-    labels = label_series(gt)
+    # class ranks, not ids: histograms are sized by the class count, and a
+    # monotone relabeling keeps every nonzero cell in order, so MI is unchanged
+    ranks = np.searchsorted(gt.classes, label_series(gt).symbols)
+    labels = DiscreteSeries(symbols=ranks, alphabet=gt.classes.size)
     return SelectionState(
         matrix=matrix,
         series=series,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from igbs import classify
+from igbs import accel, classify
 from igbs.classify import (
     ConfusionMatrix,
     PairModel,
@@ -228,6 +228,90 @@ class TestKnn:
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
             knn_predict(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, side, value):
+        train, test = np.zeros((3, 2)), np.ones((2, 2))
+        (train if side == "train" else test)[1, 0] = value
+        with pytest.raises(DataError, match="finite"):
+            knn_predict(train, np.array([1, 2, 3]), test)
+
+
+def broadcast_nn1_index(train, test):
+    """The 1-NN kernel as it was before the matrix-product screen, verbatim:
+    the oracle that accel.nn1_index must match index for index."""
+    out = np.empty(test.shape[0], dtype=np.int64)
+    # chunk test rows so the distance block stays small
+    step = max(1, 4_000_000 // max(train.shape[0] * train.shape[1], 1))
+    for s in range(0, test.shape[0], step):
+        block = test[s : s + step]
+        d = ((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+        out[s : s + step] = d.argmin(axis=1)
+    return out
+
+
+def scaled_levels(rng, shape, levels):
+    return rng.integers(0, levels, size=shape) / (levels - 1)
+
+
+class TestNn1Index:
+    def assert_matches_oracle(self, train, test):
+        got = accel.nn1_index(train, test)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, broadcast_nn1_index(train, test))
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 80])
+    def test_continuous_features(self, k):
+        rng = np.random.default_rng(k)
+        self.assert_matches_oracle(rng.normal(size=(300, k)), rng.normal(size=(200, k)))
+
+    @pytest.mark.parametrize("levels", [4, 16])
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_tie_heavy_level_features(self, levels, k):
+        rng = np.random.default_rng(levels + k)
+        train = scaled_levels(rng, (400, k), levels)
+        test = scaled_levels(rng, (300, k), levels)
+        if k <= 5:  # the data really ties: some query has several nearest rows
+            dist = ((test[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+            assert ((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        self.assert_matches_oracle(train, test)
+
+    def test_permuted_rows_tie_in_reals_not_in_floats(self):
+        # every train row is a permutation of one vector, so distances to a
+        # constant query tie exactly in the reals and differ in the last bits
+        rng = np.random.default_rng(3)
+        base = rng.random(97)
+        train = np.array([rng.permutation(base) for _ in range(60)])
+        test = np.vstack([np.full((4, 97), 0.5), 0.5 + 1e-3 * rng.random((30, 97))])
+        self.assert_matches_oracle(train, test)
+
+    def test_overflowing_squares_keep_every_row(self):
+        # magnitudes up to 1e300: where the screen's bound overflows, the
+        # refine falls back to the whole broadcast, overflow and all
+        rng = np.random.default_rng(7)
+        train = rng.normal(size=(30, 3)) * 10.0 ** rng.integers(0, 300, size=(30, 3))
+        test = rng.normal(size=(20, 3)) * 10.0 ** rng.integers(0, 300, size=(20, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_matches_oracle(train, test)
+
+    def test_queries_cross_block_boundaries(self):
+        rng = np.random.default_rng(4)
+        train = scaled_levels(rng, (2000, 3), 16)
+        rows = 2 * (accel.NN1_BLOCK // 2000) + 7  # two full blocks and a partial one
+        self.assert_matches_oracle(train, scaled_levels(rng, (rows, 3), 16))
+
+    def test_one_train_row(self):
+        rng = np.random.default_rng(5)
+        self.assert_matches_oracle(rng.random((1, 4)), rng.random((9, 4)))
+
+    def test_one_feature(self):
+        rng = np.random.default_rng(6)
+        self.assert_matches_oracle(scaled_levels(rng, (50, 1), 4), rng.random((40, 1)))
+
+    def test_no_query_rows(self):
+        got = accel.nn1_index(np.ones((5, 3)), np.zeros((0, 3)))
+        assert got.shape == (0,) and got.dtype == np.int64
 
 
 class TestMetrics:

@@ -277,6 +277,19 @@ class TestGreedy:
             state.selected.append(accepted)
             state.remaining.remove(accepted)
 
+    @pytest.mark.parametrize("method", ["MIM", "MIFS", "MRMR", "MIBF", "IGBS"])
+    def test_sparse_class_ids_change_nothing(self, method):
+        # class 2 is the largest id, so moving it to 100000 keeps the class
+        # order and with it the order in which the estimators add up cells
+        rng = np.random.default_rng(8)
+        qcube, gt = random_instance(rng, classes=2)
+        sparse = GroundTruth(labels=np.where(gt.labels == 2, 100_000, gt.labels))
+        assert init_state(qcube, sparse).labels.alphabet == gt.classes.size
+        dense = greedy_select(qcube, gt, method, k=4)
+        relabeled = greedy_select(qcube, sparse, method, k=4)
+        assert relabeled.selected == dense.selected
+        assert [s.hex() for s in relabeled.step_scores] == [s.hex() for s in dense.step_scores]
+
     def test_mibf_lower_threshold_never_selects_fewer(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
