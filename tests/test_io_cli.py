@@ -397,6 +397,39 @@ def test_knn_compare_output_bytes_are_fixed(tmp_path, monkeypatch, capsys):
     assert digests == _KNN_GOLDEN
 
 
+
+# sha256 of what `compare --classifier svm --svm-c 0.5` writes on the same
+# 4-level scene; at this C nearly every dual ends at the box bound and many
+# rows repeat, so any change to the RBF kernel or the SMO steps shows here
+_SVM_GOLDEN = {
+    "IGBS.map.ppm": "9afabcb35749499585369ffe7113050a395f2f6b6f60f9283d27067b6cf2c02c",
+    "IGBS.report.txt": "865dca9b18254844afbe1854920ad52a6a2d0f7e01efe4682b77e53964571359",
+    "MIBF.map.ppm": "04e7125da06827a1b781903fa7207beace6b4cb6351c3f37d05a2b76f8a27424",
+    "MIBF.report.txt": "5f73ffcef5ae561fbdb758ff3ce9697fe0e6ad3c523f588f3ee2ab321a397688",
+    "MIFS.map.ppm": "69f8910dd3f9195b6d2edce05edf4b256918c3cad56804dae0e928532b1192b5",
+    "MIFS.report.txt": "eba279b83f07189be6f5c9e2e764a6e5bf57f702a93c5a18a2780422c31bc88c",
+    "MIM.map.ppm": "9afabcb35749499585369ffe7113050a395f2f6b6f60f9283d27067b6cf2c02c",
+    "MIM.report.txt": "6c5adc41723ddae198c187eedfbc09835e9b087fd9f37cad4246485bdf912766",
+    "MRMR.map.ppm": "9afabcb35749499585369ffe7113050a395f2f6b6f60f9283d27067b6cf2c02c",
+    "MRMR.report.txt": "edddbf34725fc12937e39d2cc341c0de51b459556c197b6b31531bde6f56d584",
+    "comparison.txt": "72a000f3f98b6ef0426abf77d312f4588d164703b79c9b704a7091e77c357f73",
+}
+
+
+def test_svm_compare_output_bytes_are_fixed(tmp_path, monkeypatch, capsys):
+    spec = SynthSpec(rows=20, cols=20, bands=10, classes=4, informative_bands=(2, 5, 8),
+                     noise_sigma=2.0, class_separation=3.0, seed=7)
+    cube, gt, _ = generate_cube(spec)
+    monkeypatch.chdir(tmp_path)  # relative paths keep the report bytes fixed
+    raster.save_cube(cube, "scene")
+    raster.save_gt(gt, "scene.gt.raw")
+    argv = ["compare", "--cube", "scene", "--gt", "scene.gt.raw", "--classifier", "svm",
+            "--svm-c", "0.5", "--levels", "4", "--k", "5", "--out", "out"]
+    assert main(argv) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert digests == _SVM_GOLDEN
+
 class TestRunConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
