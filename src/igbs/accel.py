@@ -12,6 +12,11 @@ determinism paragraph).
 ``nn1_index`` screens with one matrix product per block of query rows and
 computes that exact distance expression only for the few train rows the
 screen cannot rule out, so its answer is the one the plain broadcast gives.
+``smo_solve`` tracks its working set in two vectors whose entries change
+only at the two indices a step moves, and ``rbf_kernel`` forms everything
+after the matrix product in place; both reproduce, bit for bit, the
+whole-array forms kept in ``tests/brute.py``: the same duals, bias, step
+count and gap, and the same kernel values.
 """
 
 from __future__ import annotations
@@ -24,15 +29,32 @@ def hist2d(x, y, ax, ay):
     return flat.reshape(ax, ay).astype(np.int64, copy=False)
 
 
+# kernel entries combined, scaled and exponentiated per row block
+RBF_BLOCK = 32_768
+
+
 def rbf_kernel(a, b, gamma):
-    # ||a-b||^2 = |a|^2 + |b|^2 - 2 a.b ; clip guards tiny negative round-off
-    sq = (
-        np.einsum("ij,ij->i", a, a)[:, None]
-        + np.einsum("ij,ij->i", b, b)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-gamma * sq)
+    """exp(-gamma * max(0, (|a|^2 + |b|^2) - 2 a.b)) for every row pair.
+
+    ``a @ b.T`` stays one product (numpy hands ``a @ a.T`` to SYRK, whose
+    bits differ from GEMM's), and the rest is formed in place in it, one row
+    block at a time, with the sum and its association unchanged.
+    """
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = aa if b is a else np.einsum("ij,ij->i", b, b)
+    out = a @ b.T
+    step = max(1, RBF_BLOCK // max(out.shape[1], 1))
+    norms = np.empty((min(step, out.shape[0]), out.shape[1]))
+    for s in range(0, out.shape[0], step):
+        block = out[s : s + step]
+        sq = norms[: block.shape[0]]
+        np.add(aa[s : s + step, None], bb, out=sq)
+        block *= -2.0  # exact, so sq + block is sq - 2 a.b
+        block += sq
+        np.clip(block, 0.0, None, out=block)  # tiny negative round-off
+        block *= -gamma
+        np.exp(block, out=block)
+    return out
 
 
 # distance entries (query rows x train rows) screened per matrix product
@@ -88,44 +110,63 @@ def nn1_index(train, test):
 
 
 def smo_solve(kernel, y, c, tol, max_steps):
+    """Maximal-violating-pair SMO over a precomputed kernel.
+
+    Returns the duals, the bias, the step count and the final KKT gap. Only
+    alpha_i and alpha_j move per step, so the index sets are kept as
+    ``yup`` (y where alpha may move up, else -inf) and ``ylow`` (y where it
+    may move down, else +inf) and two entries of each are rewritten per
+    step; ``yup - u`` is then the gradient masked to the up set, and an
+    empty set shows as an infinite extreme. Scalars are Python floats, which
+    round as numpy's float64 scalars do.
+    """
     n = y.shape[0]
-    alpha = np.zeros(n)
-    u = np.zeros(n)  # decision values without bias
+    ys = y.tolist()
+    alpha = [0.0] * n
+    diag = kernel.diagonal().tolist()
     pos = y > 0.0
+    yup = np.where(pos & (0.0 < c), y, -np.inf)  # every alpha starts at 0
+    ylow = np.where(~pos & (0.0 < c), y, np.inf)
+    u = np.zeros(n)  # decision values without bias
+    gi, gj, step = np.empty(n), np.empty(n), np.empty(n)
     m_val = 0.0
     big_m = 0.0
     it = 0
     while it < max_steps:
-        g = y - u
-        in_up = np.where(pos, alpha < c, alpha > 0.0)
-        in_low = np.where(pos, alpha > 0.0, alpha < c)
-        if not in_up.any() or not in_low.any():
+        np.subtract(yup, u, out=gi)
+        np.subtract(ylow, u, out=gj)
+        i = int(gi.argmax())
+        j = int(gj.argmin())
+        top, bottom = gi.item(i), gj.item(j)
+        if top == -np.inf or bottom == np.inf:
             break
-        gi = np.where(in_up, g, -np.inf)
-        gj = np.where(in_low, g, np.inf)
-        i = int(np.argmax(gi))
-        j = int(np.argmin(gj))
-        m_val = gi[i]
-        big_m = gj[j]
+        m_val, big_m = top, bottom
         if m_val - big_m <= tol:
             break
-        eta = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+        eta = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
         if eta <= 0.0:
             eta = 1e-12
         # move along alpha_j += d, alpha_i -= y_i y_j d
-        d = -y[j] * (m_val - big_m) / eta
-        s = y[i] * y[j]
-        lo = max(-alpha[j], alpha[i] - c if s > 0 else -alpha[i])
-        hi = min(c - alpha[j], alpha[i] if s > 0 else c - alpha[i])
+        yi, yj = ys[i], ys[j]
+        d = -yj * (m_val - big_m) / eta
+        s = yi * yj
+        ai, aj = alpha[i], alpha[j]
+        lo = max(-aj, ai - c if s > 0 else -ai)
+        hi = min(c - aj, ai if s > 0 else c - ai)
         d = min(max(d, lo), hi)
         if d == 0.0:
             break
-        alpha[j] += d
-        alpha[i] -= s * d
         # snap round-off at the box edges so duals stay within [0, C] exactly
-        alpha[j] = min(max(alpha[j], 0.0), c)
-        alpha[i] = min(max(alpha[i], 0.0), c)
-        u += (-s * d) * y[i] * kernel[i] + d * y[j] * kernel[j]
+        alpha[j] = min(max(aj + d, 0.0), c)
+        alpha[i] = min(max(ai - s * d, 0.0), c)
+        for t in (j, i):
+            a, yt = alpha[t], ys[t]
+            yup[t] = yt if (a < c if yt > 0.0 else a > 0.0) else -np.inf
+            ylow[t] = yt if (a > 0.0 if yt > 0.0 else a < c) else np.inf
+        np.multiply(kernel[i], (-s * d) * yi, out=step)
+        np.multiply(kernel[j], d * yj, out=gi)
+        step += gi
+        u += step
         it += 1
     bias = 0.5 * (m_val + big_m)
-    return alpha, bias, it, m_val - big_m
+    return np.array(alpha), bias, it, m_val - big_m

@@ -109,6 +109,8 @@ def train_svm(
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise DataError("features must be (n, d) with one label per row")
+    if not np.isfinite(features).all():
+        raise DataError("SVM features must be finite")
     classes = np.unique(labels)
     if classes.size < 2:
         raise DataError("training data must contain at least 2 classes")
@@ -128,7 +130,7 @@ def train_svm(
             alpha, bias, iters, gap = accel.smo_solve(
                 kernel, y, float(c), float(tol), DEFAULT_MAX_ITER
             )
-            if gap > tol:
+            if not gap <= tol:  # a NaN gap has not converged either
                 raise MethodError(
                     f"SMO did not converge for class pair ({ci}, {cj}): "
                     f"gap {gap:.3e} after {iters} steps"
@@ -157,6 +159,8 @@ def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
             f"feature dimension {features.shape[1] if features.ndim == 2 else '?'} "
             f"does not match model ({model.n_features})"
         )
+    if not np.isfinite(features).all():
+        raise DataError("SVM features must be finite")
     votes = np.zeros((features.shape[0], model.classes.size), dtype=np.int64)
     col = {int(cls): i for i, cls in enumerate(model.classes)}
     for pair in model.pairs:

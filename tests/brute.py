@@ -2,11 +2,14 @@
 
 Everything here recomputes probabilities from scratch with dict-based
 tables and the direct textbook sums, deliberately avoiding the package's
-histogram/entropy-difference code paths.
+histogram/entropy-difference code paths. The SVM inner loops at the end are
+the plain whole-array forms the package's kernels must match bit for bit.
 """
 
 import math
 from collections import Counter
+
+import numpy as np
 
 
 def prob_table(*seqs):
@@ -112,3 +115,60 @@ def greedy_reference(band_rows, labels, method, k, beta=0.5, threshold=-0.02, la
         selected.append(pick)
         remaining.remove(pick)
     return selected
+
+
+def rbf_kernel(a, b, gamma):
+    # ||a-b||^2 = |a|^2 + |b|^2 - 2 a.b ; clip guards tiny negative round-off
+    sq = (
+        np.einsum("ij,ij->i", a, a)[:, None]
+        + np.einsum("ij,ij->i", b, b)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    np.clip(sq, 0.0, None, out=sq)
+    return np.exp(-gamma * sq)
+
+
+def smo_solve(kernel, y, c, tol, max_steps):
+    """Maximal-violating-pair SMO that rebuilds the gradient and both index
+    sets from scratch on every step."""
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    u = np.zeros(n)  # decision values without bias
+    pos = y > 0.0
+    m_val = 0.0
+    big_m = 0.0
+    it = 0
+    while it < max_steps:
+        g = y - u
+        in_up = np.where(pos, alpha < c, alpha > 0.0)
+        in_low = np.where(pos, alpha > 0.0, alpha < c)
+        if not in_up.any() or not in_low.any():
+            break
+        gi = np.where(in_up, g, -np.inf)
+        gj = np.where(in_low, g, np.inf)
+        i = int(np.argmax(gi))
+        j = int(np.argmin(gj))
+        m_val = gi[i]
+        big_m = gj[j]
+        if m_val - big_m <= tol:
+            break
+        eta = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+        if eta <= 0.0:
+            eta = 1e-12
+        # move along alpha_j += d, alpha_i -= y_i y_j d
+        d = -y[j] * (m_val - big_m) / eta
+        s = y[i] * y[j]
+        lo = max(-alpha[j], alpha[i] - c if s > 0 else -alpha[i])
+        hi = min(c - alpha[j], alpha[i] if s > 0 else c - alpha[i])
+        d = min(max(d, lo), hi)
+        if d == 0.0:
+            break
+        alpha[j] += d
+        alpha[i] -= s * d
+        # snap round-off at the box edges so duals stay within [0, C] exactly
+        alpha[j] = min(max(alpha[j], 0.0), c)
+        alpha[i] = min(max(alpha[i], 0.0), c)
+        u += (-s * d) * y[i] * kernel[i] + d * y[j] * kernel[j]
+        it += 1
+    bias = 0.5 * (m_val + big_m)
+    return alpha, bias, it, m_val - big_m

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import brute
 from igbs import accel, classify
 from igbs.classify import (
     ConfusionMatrix,
@@ -138,6 +139,30 @@ class TestSvm:
         y = np.array([1, 1, 2, 2])
         with pytest.raises(MethodError, match=r"class pair \(1, 2\)"):
             train_svm(x, y, c=10.0, gamma=1.0)
+
+    def test_nan_gap_is_not_convergence(self, monkeypatch):
+        solve = accel.smo_solve
+        monkeypatch.setattr(accel, "smo_solve",
+                            lambda *a: (*solve(*a)[:3], float("nan")))
+        x, y = two_clusters()
+        with pytest.raises(MethodError, match="gap nan"):
+            train_svm(x, y)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_features_rejected(self, value):
+        x, y = two_clusters()
+        x[7, 1] = value
+        with pytest.raises(DataError, match="finite"):
+            train_svm(x, y)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_features_rejected(self, value):
+        x, y = two_clusters()
+        model = train_svm(x, y)
+        query = x[:3].copy()
+        query[2, 0] = value
+        with pytest.raises(DataError, match="finite"):
+            predict(model, query)
 
 
 class TestPredictRules:
@@ -313,6 +338,117 @@ class TestNn1Index:
         got = accel.nn1_index(np.ones((5, 3)), np.zeros((0, 3)))
         assert got.shape == (0,) and got.dtype == np.int64
 
+
+
+def same_solution(got, want):
+    """SMO results equal bit for bit: duals, bias, step count and gap."""
+    assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+    assert float(got[1]).hex() == float(want[1]).hex()
+    assert got[2] == want[2]
+    assert float(got[3]).hex() == float(want[3]).hex()
+
+
+def binary_problem(x, seed):
+    """Labels +-1 from a noisy threshold on the first feature, both present."""
+    rng = np.random.default_rng(seed)
+    score = x[:, 0] + 0.3 * rng.normal(size=x.shape[0])
+    y = np.where(score > np.median(score), 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    return y
+
+
+class TestSmoSolve:
+    """accel.smo_solve against the whole-array form in tests/brute.py."""
+
+    def assert_matches_oracle(self, x, c=100.0, tol=1e-3, max_steps=1_000_000, seed=0):
+        y = binary_problem(x, seed)
+        kernel = brute.rbf_kernel(x, x, 1.0 / x.shape[1])
+        want = brute.smo_solve(kernel, y, c, tol, max_steps)
+        same_solution(accel.smo_solve(kernel, y, c, tol, max_steps), want)
+        return want
+
+    @pytest.mark.parametrize("n, k", [(30, 2), (120, 5), (250, 20)])
+    def test_continuous_pairs(self, n, k):
+        rng = np.random.default_rng(n + k)
+        assert self.assert_matches_oracle(rng.normal(size=(n, k)), seed=k)[2] > 10
+
+    @pytest.mark.parametrize("levels", [4, 16])
+    def test_level_features_with_duplicate_rows(self, levels):
+        # rows repeat under both labels; such a pair has eta <= 0 and steps
+        # with the 1e-12 floor
+        rng = np.random.default_rng(levels)
+        x = scaled_levels(rng, (100, 3), levels)
+        self.assert_matches_oracle(np.vstack([x, x]), seed=levels)
+
+    def test_small_c_puts_duals_on_the_box(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(150, 4))
+        alpha = self.assert_matches_oracle(x, c=0.05, seed=9)[0]
+        assert (alpha == 0.05).sum() > 50
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 7])
+    def test_truncated_solve(self, max_steps):
+        rng = np.random.default_rng(2)
+        want = self.assert_matches_oracle(rng.normal(size=(60, 3)), max_steps=max_steps)
+        assert want[2] == max_steps
+
+    def test_two_rows(self):
+        self.assert_matches_oracle(np.array([[0.0, 1.0], [1.0, 0.5]]))
+
+    @pytest.mark.parametrize("y, c", [((1.0,) * 5, 1.0), ((1.0, -1.0) * 2 + (1.0,), 0.0)])
+    def test_empty_working_set_takes_no_step(self, y, c):
+        # one label only, or a box [0, 0]: the up or the low set starts empty
+        x = np.random.default_rng(1).normal(size=(5, 2))
+        kernel = brute.rbf_kernel(x, x, 0.5)
+        y = np.array(y)
+        got = accel.smo_solve(kernel, y, c, 1e-3, 100)
+        same_solution(got, brute.smo_solve(kernel, y, c, 1e-3, 100))
+        assert got[2] == 0
+
+
+class TestRbfKernel:
+    """accel.rbf_kernel against the whole-array expression in tests/brute.py."""
+
+    def assert_matches_oracle(self, a, b, gamma=0.25):
+        got = accel.rbf_kernel(a, b, gamma)
+        want = brute.rbf_kernel(a, b, gamma)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 80])
+    def test_same_operand(self, k):
+        # a @ a.T takes numpy's symmetric product; the oracle must see the same
+        a = np.random.default_rng(k).normal(size=(90, k))
+        self.assert_matches_oracle(a, a)
+
+    @pytest.mark.parametrize("k", [1, 3, 80])
+    def test_distinct_operands(self, k):
+        rng = np.random.default_rng(k + 1)
+        self.assert_matches_oracle(rng.normal(size=(70, k)), rng.normal(size=(110, k)))
+
+    def test_rows_cross_block_boundaries(self):
+        rng = np.random.default_rng(3)
+        cols = 500
+        rows = 2 * (accel.RBF_BLOCK // cols) + 7  # two full blocks and a partial one
+        a = scaled_levels(rng, (rows, 6), 16)
+        self.assert_matches_oracle(a, scaled_levels(rng, (cols, 6), 16))
+        self.assert_matches_oracle(a, a)
+
+    def test_duplicate_rows_clip_round_off(self):
+        rng = np.random.default_rng(4)
+        a = scaled_levels(rng, (60, 80), 16)
+        a = np.vstack([a, a[::-1]])
+        sq = (np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", a, a)[None, :]
+              - 2.0 * (a @ a.T))
+        assert (sq < 0.0).any()  # the clip acts on this data
+        self.assert_matches_oracle(a, a, gamma=1.0 / 80)
+        self.assert_matches_oracle(a, a.copy(), gamma=1.0 / 80)
+
+    def test_one_row_or_one_column(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(1, 4)), rng.normal(size=(40, 4))
+        self.assert_matches_oracle(a, b)
+        self.assert_matches_oracle(b, a)
+        self.assert_matches_oracle(a, a)
 
 class TestMetrics:
     def test_perfect_prediction(self):
