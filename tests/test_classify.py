@@ -339,7 +339,6 @@ class TestNn1Index:
         assert got.shape == (0,) and got.dtype == np.int64
 
 
-
 def same_solution(got, want):
     """SMO results equal bit for bit: duals, bias, step count and gap."""
     assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
@@ -374,8 +373,8 @@ class TestSmoSolve:
 
     @pytest.mark.parametrize("levels", [4, 16])
     def test_level_features_with_duplicate_rows(self, levels):
-        # rows repeat under both labels; such a pair has eta <= 0 and steps
-        # with the 1e-12 floor
+        # rows repeat under both labels; at L=4 the solver picks such pairs,
+        # whose eta <= 0 takes the 1e-12 floor
         rng = np.random.default_rng(levels)
         x = scaled_levels(rng, (100, 3), levels)
         self.assert_matches_oracle(np.vstack([x, x]), seed=levels)
@@ -449,6 +448,7 @@ class TestRbfKernel:
         self.assert_matches_oracle(a, b)
         self.assert_matches_oracle(b, a)
         self.assert_matches_oracle(a, a)
+
 
 class TestMetrics:
     def test_perfect_prediction(self):
