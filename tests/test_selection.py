@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import brute
-from igbs.datamodel import GroundTruth, QuantizedCube, label_series
+from igbs.datamodel import GroundTruth, QuantizedCube, label_series, quantize_cube
 from igbs.errors import ConfigError, DataError
 from igbs.infotheory import entropy, mutual_information
 from igbs.selection import (
@@ -15,6 +15,7 @@ from igbs.selection import (
     score_mifs,
     score_mrmr,
 )
+from igbs.synth import SynthSpec, generate_cube
 
 
 def make_instance(band_rows, labels, levels=None):
@@ -317,3 +318,99 @@ class TestGreedy:
         qcube, gt = make_instance([[0, 1]], [1, 2])
         with pytest.raises(ConfigError):
             greedy_select(qcube, gt, "RANDOM", k=1)
+
+
+# float.hex() of every step score, and the picks, of a k=8 run of each method
+# on a 64x64x30, 5-class synthetic scene (4,096 labeled pixels, so a greedy
+# step stacks 22-29 candidate rows of 4,096 symbols); reports print scores
+# to 6 decimals, so only these pin a last-bit change in the estimators
+GOLDEN_STEPS = {
+    ('MIM', 16): (
+        [11, 26, 3, 19, 28, 7, 29, 14],
+        [
+            '0x1.f3915b409a258p-1', '0x1.f2dfd4f11bd70p-1', '0x1.f2207e321c030p-1',
+            '0x1.739e8ec95ed00p-1', '0x1.ea9b31406c200p-7', '0x1.b8b4b4291b400p-7',
+            '0x1.a8c5b603ec600p-7', '0x1.a59958c123a00p-7',
+        ],
+    ),
+    ('MIFS', 16): (
+        [11, 26, 19, 3, 29, 12, 22, 16],
+        [
+            '0x1.f3915b409a258p-1', '0x1.e5163b9a41e50p-1', '0x1.101da5b0842acp-1',
+            '0x1.68fe143e057d8p-2', '-0x1.79197336cb0c0p-5', '-0x1.0881931ce3680p-4',
+            '-0x1.454868c0a67a0p-4', '-0x1.861e48324b8c0p-4',
+        ],
+    ),
+    ('MRMR', 16): (
+        [11, 26, 19, 3, 29, 28, 14, 22],
+        [
+            '0x1.f3915b409a258p-1', '0x1.d74ca24367f30p-1', '0x1.101da5b0842acp-1',
+            '0x1.1e5f862560802p-1', '-0x1.0ee805b5cff40p-6', '-0x1.2b443ef455600p-6',
+            '-0x1.3f0db92978656p-6', '-0x1.35e8b213664b7p-6',
+        ],
+    ),
+    ('MIBF', 16): (
+        [11, 26, 3],
+        [
+            '0x1.f3915b409a258p-1', '0x1.e2fd128ec9280p-2', '0x1.1b0bc94283e88p-2',
+        ],
+    ),
+    ('IGBS', 16): (
+        [11, 26, 3, 19, 28, 7, 24, 20],
+        [
+            '0x1.f3915b409a258p-1', '0x1.e8eb18848f910p-1', '0x1.654d6deaf1560p-1',
+            '0x1.413292a87e468p-1', '0x1.2bd2e1680eb40p-6', '0x1.2841f5ac1f233p-6',
+            '0x1.0f63235221ed5p-6', '0x1.fefc36f0fe0dcp-7',
+        ],
+    ),
+    ('MIM', 4): (
+        [11, 26, 3, 19, 24, 1, 4, 7],
+        [
+            '0x1.f16c54005eb00p-1', '0x1.effad127f1884p-1', '0x1.efd3ba8720358p-1',
+            '0x1.70df5eb8d8dccp-1', '0x1.30efd26263c00p-8', '0x1.2f48fde84f400p-8',
+            '0x1.1edd8f2a88400p-8', '0x1.041615d1c4e00p-8',
+        ],
+    ),
+    ('MIFS', 4): (
+        [11, 26, 19, 3, 4, 28, 20, 1],
+        [
+            '0x1.f16c54005eb00p-1', '0x1.ea7b6fcc063e0p-1', '0x1.1900803777384p-1',
+            '0x1.8deed6b0f9440p-2', '0x1.a7f7073663000p-11', '-0x1.815e835e5e000p-12',
+            '-0x1.34fbac2ce9000p-10', '-0x1.f97bc584f2800p-10',
+        ],
+    ),
+    ('MRMR', 4): (
+        [11, 26, 19, 3, 1, 4, 28, 24],
+        [
+            '0x1.f16c54005eb00p-1', '0x1.e4fc0e701af3cp-1', '0x1.1900803777384p-1',
+            '0x1.29eb85bd5dd32p-1', '0x1.5682e986b0400p-9', '0x1.4bd4b466318cdp-9',
+            '0x1.165ae57b5ea00p-9', '0x1.2427d30589e49p-9',
+        ],
+    ),
+    ('MIBF', 4): (
+        [11],
+        [
+            '0x1.f16c54005eb00p-1',
+        ],
+    ),
+    ('IGBS', 4): (
+        [11, 26, 3, 19, 1, 4, 24, 28],
+        [
+            '0x1.f16c54005eb00p-1', '0x1.e582b4f33a838p-1', '0x1.929807846bd58p-1',
+            '0x1.534fac571aa99p-1', '0x1.3a81ec4a5fe00p-8', '0x1.3cc79c5b14e66p-8',
+            '0x1.3b47bb85bd4abp-8', '0x1.142ae02e4e5b7p-8',
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("levels", [16, 4])
+@pytest.mark.parametrize("method", ["MIM", "MIFS", "MRMR", "MIBF", "IGBS"])
+def test_step_scores_are_fixed(method, levels):
+    cube, gt, _ = generate_cube(SynthSpec(rows=64, cols=64, bands=30, classes=5,
+                                          informative_bands=(3, 11, 19, 26),
+                                          noise_sigma=1.5, seed=4))
+    res = greedy_select(quantize_cube(cube, levels), gt, method, k=8)
+    selected, scores = GOLDEN_STEPS[method, levels]
+    assert res.selected == selected
+    assert [s.hex() for s in res.step_scores] == scores
