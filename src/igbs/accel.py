@@ -16,7 +16,10 @@ screen cannot rule out, so its answer is the one the plain broadcast gives.
 only at the two indices a step moves, and ``rbf_kernel`` forms everything
 after the matrix product in place; both reproduce, bit for bit, the
 whole-array forms kept in ``tests/brute.py``: the same duals, bias, step
-count and gap, and the same kernel values.
+count and gap, and the same kernel values. ``hist2d_rows`` counts one
+series against a stack of rows with one ``np.bincount`` per block of
+MI_BLOCK symbols; ``hist2d`` is its one-row case, and integer counts equal
+the one-pair counts exactly.
 """
 
 from __future__ import annotations
@@ -24,9 +27,34 @@ from __future__ import annotations
 import numpy as np
 
 
+# symbols counted, and histogram cells filled, per np.bincount call
+MI_BLOCK = 65_536
+
+
+def hist2d_rows(x, rows, ax, ay):
+    """Joint counts of ``x`` against each of ``rows``, block by block.
+
+    Yields one (b, ax, ay) int64 array per block of rows, in order, with
+    ``counts[r] == hist2d(x, row, ax, ay)`` for each row of the block. A
+    block holds at most MI_BLOCK symbols and MI_BLOCK cells, or one row, and
+    is counted by one ``np.bincount`` of the codes ``r*ax*ay + x*ay + row``,
+    which take one in-place add per block.
+    """
+    cells = ax * ay
+    step = max(1, MI_BLOCK // max(len(x), cells))
+    base = x * ay + (np.arange(min(step, len(rows))) * cells)[:, None]
+    for s in range(0, len(rows), step):
+        block = rows[s : s + step]
+        codes = np.concatenate(block, dtype=np.int64).reshape(len(block), -1)
+        codes += base[: len(block)]
+        flat = np.bincount(codes.ravel(), minlength=len(block) * cells)
+        yield flat.reshape(len(block), ax, ay).astype(np.int64, copy=False)
+
+
 def hist2d(x, y, ax, ay):
-    flat = np.bincount(x * ay + y, minlength=ax * ay)
-    return flat.reshape(ax, ay).astype(np.int64, copy=False)
+    """Joint counts of two symbol arrays, an (ax, ay) int64 array."""
+    (counts,) = hist2d_rows(x, [y], ax, ay)
+    return counts[0]
 
 
 # kernel entries combined, scaled and exponentiated per row block

@@ -159,8 +159,14 @@ def quantize_cube(cube: HyperCube, levels: int = DEFAULT_LEVELS) -> QuantizedCub
     span = hi - lo
     # a constant band has values - lo == 0 exactly, so it maps to 0
     span = np.where(span == 0, 1.0, span)
-    scaled = (values - lo) * ((levels - 1) / span)
-    q = round_half_up(scaled).astype(np.int64)
+    # round_half_up((values - lo) * ((levels - 1) / span)), one operation at
+    # a time in one buffer
+    scaled = values - lo
+    scaled *= (levels - 1) / span
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    q = scaled.astype(np.int64)
+    del scaled
     # a band whose range overflows float64 scales to NaN, which casts to
     # an arbitrary integer
     np.clip(q, 0, levels - 1, out=q)

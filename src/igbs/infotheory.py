@@ -5,6 +5,10 @@ All quantities are in bits (base-2 logs). Probabilities are empirical cell
 frequencies with no bias correction, so every selection criterion compares
 like with like and results are deterministic. Empty cells are skipped
 (0 log 0 := 0).
+
+``entropy_rows`` takes the entropy of every row of a count block at once
+and ``joint_entropies`` feeds it the blocks of a stacked count; both give
+each row the bits the one-row estimator gives (see ``entropy_rows``).
 """
 
 from __future__ import annotations
@@ -18,9 +22,28 @@ from .datamodel import DiscreteSeries
 from .errors import DataError
 
 
+def entropy_rows(counts: np.ndarray, total: int) -> np.ndarray:
+    """Entropy, in bits, of every row of a count block of shape (rows, ...).
+
+    Row r gets the bits of ``_entropy_counts(counts[r], total)``, its cells
+    read in C order of the (possibly transposed) view: ``p log2 p`` is
+    elementwise, and each row sums its own contiguous segment of the
+    nonzero terms, so numpy's pairwise summation sees the same values in
+    the same order as on the row alone.
+    """
+    nonzero = counts > 0
+    p = counts[nonzero] / total
+    terms = p * np.log2(p)
+    out = np.empty(len(counts))
+    end = 0
+    for r, row in enumerate(nonzero):
+        start, end = end, end + np.count_nonzero(row)
+        out[r] = -terms[start:end].sum()
+    return out
+
+
 def _entropy_counts(counts: np.ndarray, total: int) -> float:
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    return float(entropy_rows(counts[None], total)[0])
 
 
 def entropy(*series: DiscreteSeries) -> float:
@@ -29,6 +52,25 @@ def entropy(*series: DiscreteSeries) -> float:
         raise DataError("entropy needs at least one series")
     joint = reduce(pair_series, series)
     return _entropy_counts(np.bincount(joint.symbols, minlength=joint.alphabet), len(joint))
+
+
+def joint_entropies(x: DiscreteSeries, rows, alphabet: int, *forms) -> np.ndarray:
+    """Joint entropies of ``x`` with each of ``rows`` (symbol arrays over
+    ``alphabet``), one array per form.
+
+    ``accel.hist2d_rows`` counts the rows block by block, each block is
+    passed to every ``form`` (a function of the (b, x.alphabet, alphabet)
+    counts that returns (b, ...) counts, such as a transpose or a sum over
+    an axis), and the entropies of each form's rows are taken before the
+    block is dropped. Returns an array of shape (len(forms), len(rows)).
+    """
+    out = np.empty((len(forms), len(rows)))
+    done = 0
+    for counts in accel.hist2d_rows(x.symbols, rows, x.alphabet, alphabet):
+        for row_out, form in zip(out, forms):
+            row_out[done : done + len(counts)] = entropy_rows(form(counts), len(x))
+        done += len(counts)
+    return out
 
 
 def mutual_information(x: DiscreteSeries, y: DiscreteSeries) -> float:

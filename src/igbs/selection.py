@@ -12,6 +12,13 @@ arrays: it extracts the labeled pixels once, wraps each band row as a
 ``DiscreteSeries`` once and scores band relevance from those series, so
 ``init_state(qcube, gt).relevance`` is the relevance vector.
 
+Each MIFS, MRMR or IGBS step counts every remaining candidate against the
+newest pick, or against the (labels, estimate) pair, in one stacked count
+(``SelectionState.fill_pair_mi`` / ``fill_igbs_mi``); every MI value has
+the bits of one ``mutual_information`` call per pair, so scores and picks
+are those of the one-pair loop. Band entropies are computed once per run,
+on first use.
+
 Every step breaks score ties toward the lowest band index, so results are
 exactly reproducible regardless of how candidate scoring is scheduled.
 """
@@ -31,7 +38,7 @@ from .datamodel import (
     round_half_up,
 )
 from .errors import ConfigError, DataError
-from .infotheory import mutual_information, pair_series
+from .infotheory import entropy, joint_entropies, mutual_information, pair_series
 
 METHODS = ("MIM", "MIFS", "MRMR", "MIBF", "IGBS")
 
@@ -55,16 +62,60 @@ class SelectionState:
     estimated_gt: DiscreteSeries | None = None
     _pair_mi: dict = field(default_factory=dict, repr=False)
     _gt_est_pair: DiscreteSeries | None = field(default=None, repr=False)
+    # band -> (MI((labels, estimate); band), MI(estimate; band)) for the
+    # current estimate
+    _igbs_mi: dict = field(default_factory=dict, repr=False)
+    _entropy: np.ndarray | None = field(default=None, repr=False)
+
+    def band_entropy(self) -> np.ndarray:
+        """H(band) of every band, computed on first use."""
+        if self._entropy is None:
+            self._entropy = np.array([entropy(s) for s in self.series])
+        return self._entropy
 
     def pair_mi(self, i: int, j: int) -> float:
         key = (i, j) if i < j else (j, i)
         if key not in self._pair_mi:
-            self._pair_mi[key] = mutual_information(self.series[i], self.series[j])
+            self.fill_pair_mi(j, [i])
         return self._pair_mi[key]
+
+    def fill_pair_mi(self, band: int, cands) -> None:
+        """Cache MI(c; band) for every c of ``cands`` from one stacked count.
+
+        The bits are those of ``mutual_information(series[c], series[band])``:
+        the count of (band, c) is transposed so that c is the row variable,
+        and H(c), H(band) come from each band's own counts, which equal the
+        joint's row and column sums.
+        """
+        (joint,) = joint_entropies(self.series[band], [self.matrix[c] for c in cands],
+                                   self.levels, lambda counts: counts.transpose(0, 2, 1))
+        h = self.band_entropy()
+        mi = (h[cands] + h[band]) - joint
+        for c, value in zip(cands, mi.tolist()):
+            self._pair_mi[(c, band) if c < band else (band, c)] = value
 
     def rebuild_estimated_gt(self) -> None:
         self.estimated_gt = _estimated_map(self.matrix, self.selected, self.levels)
         self._gt_est_pair = pair_series(self.labels, self.estimated_gt)
+        self._igbs_mi = {}
+
+    def fill_igbs_mi(self, cands) -> None:
+        """Cache both MI terms of ``score_igbs`` for every c of ``cands``
+        from one stacked count of ((labels, estimate), c).
+
+        The (estimate, c) joint is that count summed over the label axis,
+        which is exact in integers, so both terms have the bits of
+        ``mutual_information(pair, series[c])`` and
+        ``mutual_information(estimated_gt, series[c])``.
+        """
+        est, pair = self.estimated_gt, self._gt_est_pair
+        joint_pair, joint_est = joint_entropies(
+            pair, [self.matrix[c] for c in cands], self.levels, lambda counts: counts,
+            lambda counts: estimate_joint(counts, est.alphabet))
+        h = self.band_entropy()[cands]
+        mi_pair = (entropy(pair) + h) - joint_pair
+        mi_est = (entropy(est) + h) - joint_est
+        self._igbs_mi.update(zip(cands, zip(mi_pair.tolist(), mi_est.tolist())))
 
 
 @dataclass(frozen=True)
@@ -80,6 +131,13 @@ def _estimated_map(matrix: np.ndarray, bands, levels: int) -> DiscreteSeries:
     idx = list(bands)
     mean = matrix[idx].sum(axis=0) / len(idx)
     return DiscreteSeries(symbols=round_half_up(mean).astype(np.int64), alphabet=levels)
+
+
+def estimate_joint(counts: np.ndarray, est_alphabet: int) -> np.ndarray:
+    """The (estimate, band) joint counts of a ((labels, estimate), band)
+    count block: its exact integer sum over the label axis."""
+    rows, pairs, levels = counts.shape
+    return counts.reshape(rows, pairs // est_alphabet, est_alphabet, levels).sum(axis=1)
 
 
 def relevance_scores(series, labels: DiscreteSeries) -> np.ndarray:
@@ -120,14 +178,12 @@ def score_igbs(candidate: int, state: SelectionState, lam: float = DEFAULT_LAMBD
     the estimated class map and the candidate."""
     if state._gt_est_pair is None:
         raise ConfigError("IGBS score needs an estimated ground truth")
-    cand = state.series[candidate]
+    if candidate not in state._igbs_mi:
+        state.fill_igbs_mi([candidate])
     # interaction_information(labels, estimated_gt, cand) decomposed so that
-    # the cached (labels, estimated_gt) pair and the relevance cache are reused
-    gain = (
-        mutual_information(state._gt_est_pair, cand)
-        - float(state.relevance[candidate])
-        - mutual_information(state.estimated_gt, cand)
-    )
+    # the (labels, estimated_gt) pair and the relevance cache are reused
+    mi_pair, mi_est = state._igbs_mi[candidate]
+    gain = mi_pair - float(state.relevance[candidate]) - mi_est
     return float(state.relevance[candidate]) + lam * gain / len(state.selected)
 
 
@@ -196,8 +252,12 @@ def greedy_select(
             "IGBS": lambda c: score_igbs(c, state, lam),
         }[method]
         while len(state.selected) < k and state.remaining:
+            # one stacked count per step scores every remaining candidate
             if method == "IGBS":
                 state.rebuild_estimated_gt()
+                state.fill_igbs_mi(state.remaining)
+            elif method != "MIM":
+                state.fill_pair_mi(state.selected[-1], state.remaining)
             pick, pick_score = _argmax_lowest(state.remaining, step_score)
             state.selected.append(pick)
             state.remaining.remove(pick)

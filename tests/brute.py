@@ -1,9 +1,10 @@
 """Independent brute-force references used only by the tests.
 
-Everything here recomputes probabilities from scratch with dict-based
+The estimators first recompute probabilities from scratch with dict-based
 tables and the direct textbook sums, deliberately avoiding the package's
-histogram/entropy-difference code paths. The SVM inner loops at the end are
-the plain whole-array forms the package's kernels must match bit for bit.
+histogram/entropy-difference code paths. The one-pair histogram estimators,
+the quantize expression and the SVM inner loops further down are the plain
+forms the package's stacked and in-place code must match bit for bit.
 """
 
 import math
@@ -115,6 +116,106 @@ def greedy_reference(band_rows, labels, method, k, beta=0.5, threshold=-0.02, la
         selected.append(pick)
         remaining.remove(pick)
     return selected
+
+
+# the one-pair count and estimators the stacked count and the row entropies
+# replace, kept verbatim
+
+
+def hist2d(x, y, ax, ay):
+    flat = np.bincount(x * ay + y, minlength=ax * ay)
+    return flat.reshape(ax, ay).astype(np.int64, copy=False)
+
+
+def entropy_counts(counts, total):
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def mutual_information(x, y):
+    """MI of two DiscreteSeries; the package's estimator before the stacked
+    count, verbatim."""
+    joint = hist2d(x.symbols, y.symbols, x.alphabet, y.alphabet)
+    n = len(x)
+    return (
+        entropy_counts(joint.sum(axis=1), n)
+        + entropy_counts(joint.sum(axis=0), n)
+        - entropy_counts(joint.ravel(), n)
+    )
+
+
+def quantize(values, levels):
+    """quantize_cube's expression before it went in place, verbatim."""
+    lo = values.min(axis=(1, 2), keepdims=True)
+    hi = values.max(axis=(1, 2), keepdims=True)
+    span = hi - lo
+    span = np.where(span == 0, 1.0, span)
+    scaled = (values - lo) * ((levels - 1) / span)
+    q = np.floor(scaled + 0.5).astype(np.int64)
+    np.clip(q, 0, levels - 1, out=q)
+    return q
+
+
+def greedy_scores(series, labels, matrix, levels, method, k, beta=0.5, threshold=-0.02,
+                  lam=1.0):
+    """(selected, step_scores) of the greedy loop with one
+    ``mutual_information`` call per (candidate, term), as the package scored
+    before the stacked count; ``series`` are the band DiscreteSeries and
+    ``labels`` the class-rank series of the labeled pixels."""
+    from igbs.datamodel import DiscreteSeries
+
+    def estimate(bands):
+        mean = matrix[list(bands)].sum(axis=0) / len(bands)
+        return DiscreteSeries(symbols=np.floor(mean + 0.5).astype(np.int64), alphabet=levels)
+
+    def argmax(indices, score):
+        best, best_s = None, None
+        for i in indices:
+            s = score(i)
+            if best_s is None or s > best_s:
+                best, best_s = i, s
+        return best, best_s
+
+    relevance = [mutual_information(s, labels) for s in series]
+    first, first_score = argmax(range(len(series)), lambda c: relevance[c])
+    selected, remaining = [first], [b for b in range(len(series)) if b != first]
+    scores = [float(first_score)]
+    if method == "MIBF":
+        current = relevance[first]
+        for cand in sorted(remaining, key=lambda b: (-relevance[b], b)):
+            if len(selected) >= k:
+                break
+            trial = mutual_information(estimate(selected + [cand]), labels)
+            gain = trial - current
+            if gain > threshold:
+                selected.append(cand)
+                current = trial
+                scores.append(float(gain))
+        return selected, scores
+    while len(selected) < k and remaining:
+        if method == "IGBS":
+            est = estimate(selected)
+            pair = DiscreteSeries(symbols=labels.symbols * est.alphabet + est.symbols,
+                                  alphabet=labels.alphabet * est.alphabet)
+
+            def score(c):
+                gain = (mutual_information(pair, series[c]) - relevance[c]
+                        - mutual_information(est, series[c]))
+                return relevance[c] + lam * gain / len(selected)
+        elif method == "MIM":
+            def score(c):
+                return relevance[c]
+        else:
+            def score(c):
+                red = sum(mutual_information(series[c], series[s]) for s in selected)
+                if method == "MIFS":
+                    return relevance[c] - beta * red
+                return relevance[c] - red / len(selected)
+        pick, pick_score = argmax(remaining, score)
+        selected.append(pick)
+        remaining.remove(pick)
+        scores.append(float(pick_score))
+    return selected, scores
 
 
 def rbf_kernel(a, b, gamma):

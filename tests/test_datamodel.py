@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import brute
+
 from igbs.datamodel import (
     DiscreteSeries,
     GroundTruth,
@@ -92,6 +94,25 @@ class TestQuantize:
                 assert not plane.any()
             else:
                 assert plane.min() == 0 and plane.max() == 15
+
+    @pytest.mark.parametrize("levels", [2, 4, 16, 256])
+    def test_matches_whole_array_expression(self, levels):
+        rng = np.random.default_rng(levels)
+        values = rng.normal(size=(6, 16, 17)) * 10.0 ** rng.integers(-3, 4, size=(6, 1, 1))
+        values[1] = 2.5  # constant band
+        # the exact half-way points of spans 7 and 13.7, where scaling in
+        # another order rounds some of them the other way
+        for band, span in ((2, 7.0), (3, 13.7)):
+            half = (np.arange(levels - 1) + 0.5) * (span / (levels - 1))
+            values[band] = np.resize(np.concatenate([[0.0, span], half]), (16, 17))
+        # a range that overflows float64: scales to NaN, then clips
+        values[4] = np.where(rng.random((16, 17)) < 0.5, -1.5e308, 1.5e308)
+        values[4, 0, :3] = (0.0, -1.0e308, 1.0e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = brute.quantize(values, levels)
+            got = quantize_cube(HyperCube(values=values), levels=levels).values
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
 
     def test_levels_bounds(self):
         cube = cube_from_bands([[0.0, 1.0]])

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import brute
+from igbs import accel
 from igbs.datamodel import DiscreteSeries
 from igbs.errors import DataError
 from igbs.infotheory import (
+    _entropy_counts,
     entropy,
+    entropy_rows,
     interaction_information,
+    joint_entropies,
     mutual_information,
     pair_series,
 )
@@ -191,3 +195,79 @@ class TestAgainstBruteForce:
                 ),
                 abs=1e-9,
             )
+
+
+class TestStackedCount:
+    """The stacked count and the row entropies against the one-pair count
+    and estimator they replace (kept verbatim in ``brute``), bit for bit."""
+
+    @staticmethod
+    def _rows(levels, n=300, count=13, seed=0):
+        rng = np.random.default_rng([levels, seed])
+        return rng.integers(0, levels, n), [rng.integers(0, levels, n) for _ in range(count)]
+
+    @pytest.mark.parametrize("levels", [2, 4, 16, 256])
+    def test_counts_match_one_pair_count(self, mi_block, levels):
+        x, rows = self._rows(levels)
+        blocks = list(accel.hist2d_rows(x, rows, levels, levels))
+        counts = np.concatenate(blocks)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.stack([brute.hist2d(x, r, levels, levels) for r in rows]))
+        assert np.array_equal(accel.hist2d(x, rows[0], levels, levels),
+                              brute.hist2d(x, rows[0], levels, levels))
+
+    def test_small_blocks_split_the_rows(self, monkeypatch):
+        monkeypatch.setattr(accel, "MI_BLOCK", 1000)
+        x, rows = self._rows(16)
+        assert [len(b) for b in accel.hist2d_rows(x, rows, 16, 16)] == [3, 3, 3, 3, 1]
+        # a block holds at most MI_BLOCK cells, or one row
+        assert [len(b) for b in accel.hist2d_rows(x, rows[:2], 16, 256)] == [1, 1]
+
+    @pytest.mark.parametrize("levels", [2, 4, 16, 256])
+    def test_joint_entropies_match_both_orientations(self, mi_block, levels):
+        x, rows = self._rows(levels)
+        forward, transposed = joint_entropies(
+            series(x, levels), rows, levels, lambda c: c, lambda c: c.transpose(0, 2, 1))
+        n = len(x)
+        for r, row in enumerate(rows):
+            assert forward[r].hex() == brute.entropy_counts(
+                brute.hist2d(x, row, levels, levels).ravel(), n).hex()
+            assert transposed[r].hex() == brute.entropy_counts(
+                brute.hist2d(row, x, levels, levels).ravel(), n).hex()
+
+    def test_constant_rows_have_one_nonzero_cell(self, mi_block):
+        x = np.full(300, 3)
+        rows = [np.full(300, v) for v in (0, 1, 1, 2, 0)]
+        (h,) = joint_entropies(series(x, 4), rows, 4, lambda c: c)
+        assert [v.hex() for v in h] == [brute.entropy_counts(
+            brute.hist2d(x, r, 4, 4).ravel(), 300).hex() for r in rows]
+
+    def test_one_row_one_pixel_and_no_rows(self):
+        (h,) = joint_entropies(series([2], 3), [np.array([1])], 3, lambda c: c)
+        assert h[0].hex() == brute.entropy_counts(np.array([1]), 1).hex()
+        assert joint_entropies(series([0, 1], 2), [], 2, lambda c: c).shape == (1, 0)
+        assert list(accel.hist2d_rows(np.array([0, 1]), [], 2, 2)) == []
+
+    @pytest.mark.parametrize("levels", [2, 4, 16, 256])
+    def test_entropy_rows_and_one_row_cases(self, levels):
+        rng = np.random.default_rng(levels)
+        counts = rng.integers(0, 3, size=(5, levels, 4)) * (rng.random((5, levels, 4)) < 0.4)
+        counts[2] = 0
+        counts[2, 1, 1] = 7  # a single nonzero cell
+        total = int(counts.sum())
+        for view in (counts, counts.transpose(0, 2, 1)):
+            h = entropy_rows(view, total)
+            assert [v.hex() for v in h] == [
+                brute.entropy_counts(np.ascontiguousarray(row).ravel(), total).hex()
+                for row in view]
+        for row in counts:
+            assert _entropy_counts(row.ravel(), total).hex() == \
+                brute.entropy_counts(row.ravel(), total).hex()
+
+    @pytest.mark.parametrize("levels", [2, 4, 16, 256])
+    def test_mutual_information_matches_one_pair_estimator(self, levels):
+        x, rows = self._rows(levels, count=4)
+        for row in rows:
+            a, b = series(x, levels), series(row, levels)
+            assert mutual_information(a, b).hex() == brute.mutual_information(a, b).hex()
+            assert mutual_information(b, a).hex() == brute.mutual_information(b, a).hex()

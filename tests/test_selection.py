@@ -1,14 +1,17 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import brute
+from igbs import accel
 from igbs.datamodel import GroundTruth, QuantizedCube, label_series, quantize_cube
 from igbs.errors import ConfigError, DataError
 from igbs.infotheory import entropy, mutual_information
 from igbs.selection import (
     build_estimated_gt,
+    estimate_joint,
     greedy_select,
     init_state,
     score_igbs,
@@ -414,3 +417,87 @@ def test_step_scores_are_fixed(method, levels):
     selected, scores = GOLDEN_STEPS[method, levels]
     assert res.selected == selected
     assert [s.hex() for s in res.step_scores] == scores
+
+
+class TestStackedStep:
+    """A greedy step's stacked count against one ``mutual_information``
+    call per (candidate, term), as kept verbatim in ``brute``."""
+
+    @pytest.mark.parametrize("levels", [2, 4, 16, 256])
+    def test_pair_mi_has_the_one_pair_bits(self, mi_block, levels):
+        qcube, gt = random_instance(np.random.default_rng(levels), bands=9, n=300, levels=levels)
+        state = init_state(qcube, gt)
+        cands = [0, 1, 2, 3, 5, 6, 7, 8]  # both sides of band 4
+        state.fill_pair_mi(4, cands)
+        for c in cands:
+            expected = brute.mutual_information(state.series[c], state.series[4])
+            assert state.pair_mi(c, 4).hex() == expected.hex()
+        # a miss on a state built by hand counts the one pair the same way
+        fresh = init_state(qcube, gt)
+        assert fresh.pair_mi(6, 2).hex() == brute.mutual_information(
+            fresh.series[6], fresh.series[2]).hex()
+        fresh.fill_pair_mi(0, [])
+        assert fresh._pair_mi.keys() == {(2, 6)}
+
+    @pytest.mark.parametrize("levels", [2, 4, 16, 256])
+    def test_igbs_terms_have_the_one_pair_bits(self, mi_block, levels):
+        qcube, gt = random_instance(np.random.default_rng(levels), bands=9, n=300, levels=levels)
+        state = init_state(qcube, gt)
+        state.selected = [1, 4, 7]
+        state.remaining = [0, 2, 3, 5, 6, 8]
+        state.rebuild_estimated_gt()
+        state.fill_igbs_mi(state.remaining)
+        hand = init_state(qcube, gt)
+        hand.selected = list(state.selected)
+        hand.rebuild_estimated_gt()
+        for c in state.remaining:
+            pair, est = state._igbs_mi[c]
+            assert pair.hex() == brute.mutual_information(
+                state._gt_est_pair, state.series[c]).hex()
+            assert est.hex() == brute.mutual_information(
+                state.estimated_gt, state.series[c]).hex()
+            # computed on demand, one candidate at a time
+            assert score_igbs(c, hand).hex() == score_igbs(c, state).hex()
+
+    @pytest.mark.parametrize("levels", [2, 4, 16])
+    def test_summed_estimate_joint_is_the_pair_count(self, levels):
+        qcube, gt = random_instance(np.random.default_rng(levels), bands=9, n=300, levels=levels)
+        state = init_state(qcube, gt)
+        state.selected = [0, 3]
+        state.rebuild_estimated_gt()
+        pair, est = state._gt_est_pair, state.estimated_gt
+        rows = list(state.matrix[1:])
+        counts = np.concatenate(list(accel.hist2d_rows(pair.symbols, rows, pair.alphabet, levels)))
+        joint = estimate_joint(counts, est.alphabet)
+        assert joint.dtype == np.int64
+        assert np.array_equal(joint, np.stack(
+            [brute.hist2d(est.symbols, row, levels, levels) for row in rows]))
+
+    @pytest.mark.parametrize("levels", [4, 16])
+    @pytest.mark.parametrize("method", ["MIM", "MIFS", "MRMR", "MIBF", "IGBS"])
+    def test_greedy_steps_match_one_pair_greedy(self, mi_block, method, levels):
+        qcube, gt = random_instance(np.random.default_rng(9), bands=10, n=300,
+                                    levels=levels, classes=4)
+        state = init_state(qcube, gt)
+        res = greedy_select(qcube, gt, method, k=6)
+        selected, scores = brute.greedy_scores(state.series, state.labels, state.matrix,
+                                               levels, method, k=6)
+        assert res.selected == selected
+        assert [s.hex() for s in res.step_scores] == [s.hex() for s in scores]
+
+    @pytest.mark.parametrize("method", ["MIFS", "IGBS"])
+    def test_memory_is_bounded_by_the_block(self, method):
+        # 40 bands of 1,024 pixels at 256 levels and 3 classes: one IGBS row
+        # counts 196,608 cells, so counting every candidate at once would
+        # hold 39 x 1.5 MB
+        qcube, gt = random_instance(np.random.default_rng(3), bands=40, n=1024,
+                                    levels=256, classes=3)
+        cells = 3 * 256 * 256 if method == "IGBS" else 256 * 256
+        block = 8 * max(accel.MI_BLOCK, 1024, cells)  # int64 bytes of one block
+        tracemalloc.start()
+        try:
+            greedy_select(qcube, gt, method, k=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < qcube.values.nbytes + 4 * block
