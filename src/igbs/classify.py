@@ -182,6 +182,8 @@ def knn_predict(
         raise DataError("1-NN needs a nonempty training set")
     if train.ndim != 2 or test.ndim != 2 or train.shape[1] != test.shape[1]:
         raise DataError("train and test feature dimensions differ")
+    if labels.shape != train.shape[:1]:
+        raise DataError("1-NN needs one label per train row")
     if not (np.isfinite(train).all() and np.isfinite(test).all()):
         raise DataError("1-NN features must be finite")
     return labels[accel.nn1_index(train, test)]

@@ -12,15 +12,14 @@ arrays: it extracts the labeled pixels once, wraps each band row as a
 ``DiscreteSeries`` once and scores band relevance from those series, so
 ``init_state(qcube, gt).relevance`` is the relevance vector.
 
-Each MIFS, MRMR or IGBS step counts every remaining candidate against the
-newest pick, or against the (labels, estimate) pair, in one stacked count
-(``SelectionState.fill_pair_mi`` / ``fill_igbs_mi``); every MI value has
-the bits of one ``mutual_information`` call per pair, so scores and picks
-are those of the one-pair loop. Band entropies are computed once per run,
-on first use.
-
-Every step breaks score ties toward the lowest band index, so results are
-exactly reproducible regardless of how candidate scoring is scheduled.
+Each step scores all remaining candidates as one array
+(``score_mifs``/``score_mrmr``/``score_igbs(cands, state, ...)``, or the
+relevance for MIM) and picks with ``np.argmax``, whose first maximum is the
+lowest band index, so score ties go to the lowest band. One stacked count
+per step gives every candidate's MI against the newest pick (MIFS, MRMR)
+or the (labels, estimate) pair (IGBS), each with the bits of one
+``mutual_information`` call. ``SelectionState.select`` keeps the selected
+rows' exact integer sum, from which every estimated class map is derived.
 """
 
 from __future__ import annotations
@@ -49,23 +48,26 @@ DEFAULT_LAMBDA = 1.0
 
 @dataclass
 class SelectionState:
-    """Working state of one greedy run; score functions read it, the loop
-    mutates it."""
+    """Working state of one greedy run; score functions read it, and
+    ``select`` moves a band from ``remaining`` to ``selected``."""
 
     matrix: np.ndarray  # (bands, n_labeled) quantized values, C-ordered
     series: list[DiscreteSeries]  # one per row of the matrix
     labels: DiscreteSeries
     levels: int
     relevance: np.ndarray
+    band_sum: np.ndarray  # int64 sum of the selected rows of the matrix
     selected: list[int] = field(default_factory=list)
     remaining: list[int] = field(default_factory=list)
-    estimated_gt: DiscreteSeries | None = None
+    estimated_gt: DiscreteSeries | None = None  # of the current selection
     _pair_mi: dict = field(default_factory=dict, repr=False)
-    _gt_est_pair: DiscreteSeries | None = field(default=None, repr=False)
-    # band -> (MI((labels, estimate); band), MI(estimate; band)) for the
-    # current estimate
-    _igbs_mi: dict = field(default_factory=dict, repr=False)
     _entropy: np.ndarray | None = field(default=None, repr=False)
+
+    def select(self, band: int) -> None:
+        self.selected.append(band)
+        self.remaining.remove(band)
+        self.band_sum += self.matrix[band]
+        self.estimated_gt = None
 
     def band_entropy(self) -> np.ndarray:
         """H(band) of every band, computed on first use."""
@@ -95,27 +97,7 @@ class SelectionState:
             self._pair_mi[(c, band) if c < band else (band, c)] = value
 
     def rebuild_estimated_gt(self) -> None:
-        self.estimated_gt = _estimated_map(self.matrix, self.selected, self.levels)
-        self._gt_est_pair = pair_series(self.labels, self.estimated_gt)
-        self._igbs_mi = {}
-
-    def fill_igbs_mi(self, cands) -> None:
-        """Cache both MI terms of ``score_igbs`` for every c of ``cands``
-        from one stacked count of ((labels, estimate), c).
-
-        The (estimate, c) joint is that count summed over the label axis,
-        which is exact in integers, so both terms have the bits of
-        ``mutual_information(pair, series[c])`` and
-        ``mutual_information(estimated_gt, series[c])``.
-        """
-        est, pair = self.estimated_gt, self._gt_est_pair
-        joint_pair, joint_est = joint_entropies(
-            pair, [self.matrix[c] for c in cands], self.levels, lambda counts: counts,
-            lambda counts: estimate_joint(counts, est.alphabet))
-        h = self.band_entropy()[cands]
-        mi_pair = (entropy(pair) + h) - joint_pair
-        mi_est = (entropy(est) + h) - joint_est
-        self._igbs_mi.update(zip(cands, zip(mi_pair.tolist(), mi_est.tolist())))
+        self.estimated_gt = _estimated_map(self.band_sum, len(self.selected), self.levels)
 
 
 @dataclass(frozen=True)
@@ -125,12 +107,11 @@ class SelectionResult:
     step_scores: list[float]
 
 
-def _estimated_map(matrix: np.ndarray, bands, levels: int) -> DiscreteSeries:
-    """Pixel-wise mean of the given rows of a labeled matrix, rounded
-    half-up: the estimated class map."""
-    idx = list(bands)
-    mean = matrix[idx].sum(axis=0) / len(idx)
-    return DiscreteSeries(symbols=round_half_up(mean).astype(np.int64), alphabet=levels)
+def _estimated_map(band_sum: np.ndarray, count: int, levels: int) -> DiscreteSeries:
+    """The pixel-wise mean of ``count`` labeled rows that sum to ``band_sum``,
+    rounded half-up: the estimated class map."""
+    return DiscreteSeries(symbols=round_half_up(band_sum / count).astype(np.int64),
+                          alphabet=levels)
 
 
 def estimate_joint(counts: np.ndarray, est_alphabet: int) -> np.ndarray:
@@ -156,35 +137,41 @@ def build_estimated_gt(
     bad = [b for b in idx if not 0 <= b < qcube.bands]
     if bad:
         raise DataError(f"bands out of range [0, {qcube.bands}): {bad}")
-    return _estimated_map(labeled_matrix(qcube, gt), idx, qcube.levels)
+    return _estimated_map(labeled_matrix(qcube, gt)[idx].sum(axis=0), len(idx), qcube.levels)
 
 
-def score_mifs(candidate: int, state: SelectionState, beta: float = DEFAULT_BETA) -> float:
+def _redundancy(cands, state: SelectionState) -> np.ndarray:
+    """Each candidate's MI with the selected bands, summed in selection order."""
+    return np.array([sum(state.pair_mi(c, s) for s in state.selected) for c in cands],
+                    dtype=np.float64)
+
+
+def score_mifs(cands, state: SelectionState, beta: float = DEFAULT_BETA) -> np.ndarray:
     """Relevance minus beta times the summed redundancy to selected bands."""
-    red = sum(state.pair_mi(candidate, s) for s in state.selected)
-    return float(state.relevance[candidate]) - beta * red
+    return state.relevance[cands] - beta * _redundancy(cands, state)
 
 
-def score_mrmr(candidate: int, state: SelectionState) -> float:
+def score_mrmr(cands, state: SelectionState) -> np.ndarray:
     """Relevance minus the mean redundancy to selected bands."""
     if not state.selected:
         raise ConfigError("MRMR score needs at least one selected band")
-    red = sum(state.pair_mi(candidate, s) for s in state.selected)
-    return float(state.relevance[candidate]) - red / len(state.selected)
+    return state.relevance[cands] - _redundancy(cands, state) / len(state.selected)
 
 
-def score_igbs(candidate: int, state: SelectionState, lam: float = DEFAULT_LAMBDA) -> float:
+def score_igbs(cands, state: SelectionState, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
     """Relevance plus the normalized three-way interaction of the class map,
-    the estimated class map and the candidate."""
-    if state._gt_est_pair is None:
+    the estimated class map and each candidate: MI((labels, estimate); c) −
+    relevance − MI(estimate; c), both joints from one stacked count."""
+    est = state.estimated_gt
+    if est is None:
         raise ConfigError("IGBS score needs an estimated ground truth")
-    if candidate not in state._igbs_mi:
-        state.fill_igbs_mi([candidate])
-    # interaction_information(labels, estimated_gt, cand) decomposed so that
-    # the (labels, estimated_gt) pair and the relevance cache are reused
-    mi_pair, mi_est = state._igbs_mi[candidate]
-    gain = mi_pair - float(state.relevance[candidate]) - mi_est
-    return float(state.relevance[candidate]) + lam * gain / len(state.selected)
+    pair = pair_series(state.labels, est)
+    joint_pair, joint_est = joint_entropies(
+        pair, [state.matrix[c] for c in cands], state.levels, lambda counts: counts,
+        lambda counts: estimate_joint(counts, est.alphabet))
+    h, rel = state.band_entropy()[cands], state.relevance[cands]
+    gain = (((entropy(pair) + h) - joint_pair) - rel) - ((entropy(est) + h) - joint_est)
+    return rel + lam * gain / len(state.selected)
 
 
 def init_state(qcube: QuantizedCube, gt: GroundTruth) -> SelectionState:
@@ -201,17 +188,23 @@ def init_state(qcube: QuantizedCube, gt: GroundTruth) -> SelectionState:
         labels=labels,
         levels=qcube.levels,
         relevance=relevance_scores(series, labels),
+        band_sum=np.zeros(matrix.shape[1], dtype=np.int64),
         remaining=list(range(qcube.bands)),
     )
 
 
-def _argmax_lowest(indices, score):
-    best, best_s = None, None
-    for i in indices:
-        s = score(i)
-        if best_s is None or s > best_s:
-            best, best_s = i, s
-    return best, best_s
+def _step_scores(method: str, state: SelectionState, beta: float, lam: float) -> np.ndarray:
+    """The scores of every remaining candidate at one greedy step."""
+    cands = state.remaining
+    if method == "MIM":
+        return state.relevance[cands]
+    if method == "IGBS":
+        state.rebuild_estimated_gt()
+        return score_igbs(cands, state, lam)
+    state.fill_pair_mi(state.selected[-1], cands)
+    if method == "MIFS":
+        return score_mifs(cands, state, beta)
+    return score_mrmr(cands, state)
 
 
 def greedy_select(
@@ -236,32 +229,19 @@ def greedy_select(
         raise ConfigError(f"k must be in [1, {qcube.bands}], got {k}")
 
     state = init_state(qcube, gt)
-    relevance = lambda c: state.relevance[c]
-    first, first_score = _argmax_lowest(state.remaining, relevance)
-    state.selected.append(first)
-    state.remaining.remove(first)
-    scores = [float(first_score)]
-
+    first = int(np.argmax(state.relevance))
+    scores = [float(state.relevance[first])]
+    state.select(first)
     if method == "MIBF":
         _mibf_loop(state, k, threshold, scores)
     else:
-        step_score = {
-            "MIM": relevance,
-            "MIFS": lambda c: score_mifs(c, state, beta),
-            "MRMR": lambda c: score_mrmr(c, state),
-            "IGBS": lambda c: score_igbs(c, state, lam),
-        }[method]
-        while len(state.selected) < k and state.remaining:
-            # one stacked count per step scores every remaining candidate
-            if method == "IGBS":
-                state.rebuild_estimated_gt()
-                state.fill_igbs_mi(state.remaining)
-            elif method != "MIM":
-                state.fill_pair_mi(state.selected[-1], state.remaining)
-            pick, pick_score = _argmax_lowest(state.remaining, step_score)
-            state.selected.append(pick)
-            state.remaining.remove(pick)
-            scores.append(float(pick_score))
+        # a huge beta or lambda overflows a score to ±inf, which still ranks
+        with np.errstate(over="ignore"):
+            while len(state.selected) < k and state.remaining:
+                step = _step_scores(method, state, beta, lam)
+                pick = int(np.argmax(step))
+                scores.append(float(step[pick]))
+                state.select(state.remaining[pick])
 
     return SelectionResult(
         method=method, selected=list(state.selected), step_scores=scores
@@ -269,19 +249,19 @@ def greedy_select(
 
 
 def _mibf_loop(state: SelectionState, k: int, threshold: float, scores: list) -> None:
-    # candidates visited in descending relevance (ties: lowest index); a
-    # rejected candidate is discarded for good
+    # candidates visited once each, in descending relevance (ties: lowest
+    # index), so a rejected candidate is discarded for good
     order = sorted(state.remaining, key=lambda b: (-state.relevance[b], b))
     # the map of the one selected band is that band, so its MI is relevance
     current_mi = float(state.relevance[state.selected[0]])
     for cand in order:
         if len(state.selected) >= k:
             break
-        trial = _estimated_map(state.matrix, state.selected + [cand], state.levels)
+        trial = _estimated_map(state.band_sum + state.matrix[cand],
+                               len(state.selected) + 1, state.levels)
         trial_mi = mutual_information(trial, state.labels)
         gain = trial_mi - current_mi
-        state.remaining.remove(cand)
         if gain > threshold:
-            state.selected.append(cand)
+            state.select(cand)
             current_mi = trial_mi
             scores.append(float(gain))

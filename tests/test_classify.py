@@ -254,6 +254,13 @@ class TestKnn:
         with pytest.raises(DataError):
             knn_predict(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("labels", [[1], [1, 2, 1, 2, 1], [[1, 2, 1]]])
+    def test_one_label_per_train_row(self, labels):
+        # 3 train rows; too many labels used to predict silently, too few
+        # raised IndexError
+        with pytest.raises(DataError, match="one label per train row"):
+            knn_predict(np.zeros((3, 2)), np.array(labels), np.ones((2, 2)))
+
     @pytest.mark.parametrize("side", ["train", "test"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, side, value):

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import types
 import warnings
 
@@ -10,7 +12,7 @@ import pytest
 
 from igbs import classify, cli, pipeline, raster
 from igbs.cli import main
-from igbs.datamodel import GroundTruth
+from igbs.datamodel import GroundTruth, HyperCube
 from igbs.errors import ConfigError, DataError, MethodError, build_record, read_json_object
 from igbs.report import FIELDS, MethodOutcome, RunConfig, render_comparison, render_method_report
 from igbs.synth import SynthSpec, generate_cube
@@ -500,6 +502,33 @@ class TestCli:
         ])
         assert code == 0
         assert "OA" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method, flag, selected, digest", [
+        pytest.param("MIFS", "--beta=1e308", "0 1 2 3 4", "db7e63efeb84b62d", id="MIFS+"),
+        pytest.param("MIFS", "--beta=-1e308", "0 2 1 3 4", "e3c0daf5c3a2e462", id="MIFS-"),
+        pytest.param("IGBS", "--lambda=1e308", "0 1 4 2 3", "61b4dc1226206617", id="IGBS+"),
+        pytest.param("IGBS", "--lambda=-1e308", "0 2 3 4 1", "1f92ade0a438e3b2", id="IGBS-"),
+    ])
+    def test_overflowing_weight_prints_no_warning(self, tmp_path, method, flag, selected,
+                                                  digest):
+        # bands 0, 2 and 3 are the class map (3 bits), so the weighted
+        # redundancy or interaction overflows to ±inf ties; a fresh process
+        # shows numpy's RuntimeWarning on stderr if one is raised
+        labels = np.arange(64).reshape(8, 8) % 8 + 1
+        noise = np.random.default_rng(0).integers(0, 16, size=(2, 8, 8))
+        bands = np.stack([labels, noise[0], labels, labels, noise[1]]).astype(np.float64)
+        base = str(tmp_path / "scene")
+        raster.save_cube(HyperCube(values=bands), base)
+        raster.save_gt(GroundTruth(labels=labels), base + ".gt.raw")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "igbs.cli", "select", "--method", method, flag,
+             "--cube", base, "--gt", base + ".gt.raw", "--k", "5"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert f"selected_bands = {selected}\n" in proc.stdout
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == digest
 
     def test_missing_data_exits_3(self, tmp_path):
         assert main([

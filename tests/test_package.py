@@ -34,3 +34,19 @@ def test_no_module_imports_an_unused_name():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused
+
+
+def test_every_top_level_definition_is_used():
+    # a def or class that no other code of the package names, and that is
+    # not exported, is a leftover of a removed code path
+    defined, used = [], set(igbs.__all__)
+    for path in sorted(Path(igbs.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+                names.discard(node.name)  # a recursive call is not a use
+            used |= names
+    unused = [f"{module}: {name}" for module, name in defined if name not in used]
+    assert not unused

@@ -8,7 +8,7 @@ import brute
 from igbs import accel
 from igbs.datamodel import GroundTruth, QuantizedCube, label_series, quantize_cube
 from igbs.errors import ConfigError, DataError
-from igbs.infotheory import entropy, mutual_information
+from igbs.infotheory import entropy, mutual_information, pair_series
 from igbs.selection import (
     build_estimated_gt,
     estimate_joint,
@@ -69,6 +69,20 @@ class TestEstimatedGt:
         est = build_estimated_gt(qcube, gt, [0, 1])
         assert est.symbols[0] == 4  # (2+5)/2 = 3.5 -> 4
 
+    def test_running_sum_matches_the_mean_of_the_rows(self):
+        qcube, gt = random_instance(np.random.default_rng(11), bands=8, n=200, levels=16)
+        state = init_state(qcube, gt)
+        rows = qcube.values[:, 0, :].tolist()
+        for count, band in enumerate((5, 0, 7, 2), start=1):
+            state.select(band)
+            state.rebuild_estimated_gt()
+            picked = state.selected
+            assert state.estimated_gt.symbols.tolist() == brute.estimated_gt(rows, picked)
+            assert np.array_equal(build_estimated_gt(qcube, gt, picked).symbols,
+                                  state.estimated_gt.symbols)
+            assert np.array_equal(state.band_sum, qcube.values[picked, 0, :].sum(axis=0))
+            assert len(picked) == count and band not in state.remaining
+
     def test_empty_band_set_rejected(self):
         qcube, gt = make_instance([[0, 1]], [1, 2])
         with pytest.raises(DataError):
@@ -79,7 +93,7 @@ class TestScores:
     def test_mifs_without_selected_equals_relevance(self):
         qcube, gt = make_instance([[0, 1, 1, 0]], [1, 1, 2, 2])
         state = init_state(qcube, gt)
-        assert score_mifs(0, state, beta=1.0) == pytest.approx(
+        assert score_mifs([0], state, beta=1.0)[0] == pytest.approx(
             float(state.relevance[0])
         )
 
@@ -88,23 +102,22 @@ class TestScores:
             [[0, 1, 0, 1], [0, 1, 0, 1]], [1, 1, 2, 2], levels=2
         )
         state = init_state(qcube, gt)
-        state.selected = [0]
-        state.remaining = [1]
+        state.select(0)
         h_band = entropy(state.series[1])
         expected = float(state.relevance[1]) - h_band
-        assert score_mifs(1, state, beta=1.0) == pytest.approx(expected, abs=1e-12)
-        assert score_mifs(1, state, beta=1.0) <= 0
+        (score,) = score_mifs([1], state, beta=1.0)
+        assert score == pytest.approx(expected, abs=1e-12)
+        assert score <= 0
 
     def test_mifs_beta_zero_is_relevance(self):
         rng = np.random.default_rng(0)
         qcube, gt = random_instance(rng)
         state = init_state(qcube, gt)
-        state.selected = [0]
-        state.remaining = [b for b in range(qcube.bands) if b != 0]
-        for c in state.remaining:
-            assert score_mifs(c, state, beta=0.0) == pytest.approx(
-                float(state.relevance[c])
-            )
+        state.select(0)
+        assert state.remaining == list(range(1, qcube.bands))
+        assert score_mifs(state.remaining, state, beta=0.0) == pytest.approx(
+            state.relevance[1:]
+        )
 
     def test_mrmr_independent_candidate_keeps_relevance(self):
         # candidate jointly independent of the selected band
@@ -112,9 +125,8 @@ class TestScores:
             [[0, 0, 1, 1], [0, 1, 0, 1]], [1, 2, 1, 2], levels=2
         )
         state = init_state(qcube, gt)
-        state.selected = [0]
-        state.remaining = [1]
-        assert score_mrmr(1, state) == pytest.approx(float(state.relevance[1]))
+        state.select(0)
+        assert score_mrmr([1], state)[0] == pytest.approx(float(state.relevance[1]))
 
     def test_mrmr_penalty_is_mean_not_sum(self):
         # two identical selected bands leave the mean redundancy unchanged
@@ -122,24 +134,29 @@ class TestScores:
             [[0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], [1, 1, 2, 2], levels=2
         )
         state = init_state(qcube, gt)
-        state.selected = [0]
-        one = score_mrmr(2, state)
-        state.selected = [0, 1]
-        two = score_mrmr(2, state)
+        state.select(0)
+        one = score_mrmr([2], state)[0]
+        state.select(1)
+        two = score_mrmr([2], state)[0]
         assert one == pytest.approx(two, abs=1e-12)
 
     def test_mrmr_requires_selected(self):
         qcube, gt = make_instance([[0, 1]], [1, 2])
         state = init_state(qcube, gt)
         with pytest.raises(ConfigError):
-            score_mrmr(0, state)
+            score_mrmr([0], state)
 
     def test_igbs_requires_estimated_gt(self):
-        qcube, gt = make_instance([[0, 1]], [1, 2])
+        qcube, gt = make_instance([[0, 1], [1, 1]], [1, 2])
         state = init_state(qcube, gt)
-        state.selected = [0]
+        state.select(0)
         with pytest.raises(ConfigError):
-            score_igbs(0, state)
+            score_igbs([1], state)
+        # a pick makes the estimate stale until it is rebuilt
+        state.rebuild_estimated_gt()
+        state.select(1)
+        with pytest.raises(ConfigError):
+            score_igbs([], state)
 
 
 class TestIgbsScore:
@@ -152,8 +169,7 @@ class TestIgbsScore:
         labels = 2 * g1 + g2 + 1
         qcube, gt = make_instance([g1, g2, g1.copy()], labels, levels=2)
         state = init_state(qcube, gt)
-        state.selected = [0]
-        state.remaining = [1, 2]
+        state.select(0)
         state.rebuild_estimated_gt()
         return state
 
@@ -164,10 +180,9 @@ class TestIgbsScore:
         labels = g + 1
         qcube, gt = make_instance([g, c], labels, levels=2)
         state = init_state(qcube, gt)
-        state.selected = [0]
-        state.remaining = [1]
+        state.select(0)
         state.rebuild_estimated_gt()
-        assert score_igbs(1, state) == pytest.approx(
+        assert score_igbs([1], state)[0] == pytest.approx(
             float(state.relevance[1]), abs=1e-12
         )
 
@@ -178,24 +193,24 @@ class TestIgbsScore:
         labels = (b0 ^ c) + 1
         qcube, gt = make_instance([b0, c], labels, levels=2)
         state = init_state(qcube, gt)
-        state.selected = [0]
-        state.remaining = [1]
+        state.select(0)
         state.rebuild_estimated_gt()
         assert float(state.relevance[1]) == pytest.approx(0.0, abs=1e-12)
-        assert score_igbs(1, state, lam=1.0) == pytest.approx(1.0, abs=1e-12)
-        assert score_igbs(1, state, lam=0.5) == pytest.approx(0.5, abs=1e-12)
+        assert score_igbs([1], state, lam=1.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert score_igbs([1], state, lam=0.5)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_candidate_equal_to_estimate_is_pure_redundancy(self):
         state = self._two_bit_state()
         mi_gt_est = mutual_information(state.labels, state.estimated_gt)
-        score = score_igbs(2, state, lam=1.0)
+        (score,) = score_igbs([2], state, lam=1.0)
         assert score - float(state.relevance[2]) == pytest.approx(
             -mi_gt_est, abs=1e-12
         )
 
     def test_duplicate_never_beats_synergetic_candidate(self):
         state = self._two_bit_state()
-        assert score_igbs(1, state) > score_igbs(2, state)
+        synergetic, duplicate = score_igbs([1, 2], state)
+        assert synergetic > duplicate
 
 
 class TestGreedy:
@@ -269,17 +284,14 @@ class TestGreedy:
         qcube, gt = random_instance(rng)
         res = greedy_select(qcube, gt, "IGBS", k=4)
         state = init_state(qcube, gt)
-        state.selected = [res.selected[0]]
-        state.remaining = [b for b in range(qcube.bands) if b != res.selected[0]]
+        state.select(res.selected[0])
         for step, accepted in enumerate(res.selected[1:], start=1):
             state.rebuild_estimated_gt()
-            accepted_score = score_igbs(accepted, state)
-            assert accepted_score == pytest.approx(res.step_scores[step], abs=1e-12)
-            for other in state.remaining:
-                if other != accepted:
-                    assert accepted_score >= score_igbs(other, state)
-            state.selected.append(accepted)
-            state.remaining.remove(accepted)
+            scores = score_igbs(state.remaining, state)
+            accepted_score = scores[state.remaining.index(accepted)]
+            assert accepted_score.hex() == res.step_scores[step].hex()
+            assert (scores <= accepted_score).all()
+            state.select(accepted)
 
     @pytest.mark.parametrize("method", ["MIM", "MIFS", "MRMR", "MIBF", "IGBS"])
     def test_sparse_class_ids_change_nothing(self, method):
@@ -293,6 +305,20 @@ class TestGreedy:
         relabeled = greedy_select(qcube, sparse, method, k=4)
         assert relabeled.selected == dense.selected
         assert [s.hex() for s in relabeled.step_scores] == [s.hex() for s in dense.step_scores]
+
+    @pytest.mark.parametrize("levels", [4, 16])
+    @pytest.mark.parametrize("method", ["MIM", "MIFS", "MRMR", "MIBF", "IGBS"])
+    def test_runs_are_prefix_stable(self, method, levels):
+        # a run to k stops where a longer run would go on, so every shorter
+        # run, estimated map included, is a prefix of the longest one
+        qcube, gt = random_instance(np.random.default_rng(12), bands=10, n=300,
+                                    levels=levels, classes=4)
+        full = greedy_select(qcube, gt, method, k=8)
+        for j in range(1, 9):
+            res = greedy_select(qcube, gt, method, k=j)
+            assert res.selected == full.selected[:j]
+            assert ([s.hex() for s in res.step_scores]
+                    == [s.hex() for s in full.step_scores[:j]])
 
     def test_mibf_lower_threshold_never_selects_fewer(self):
         rng = np.random.default_rng(7)
@@ -443,29 +469,30 @@ class TestStackedStep:
     def test_igbs_terms_have_the_one_pair_bits(self, mi_block, levels):
         qcube, gt = random_instance(np.random.default_rng(levels), bands=9, n=300, levels=levels)
         state = init_state(qcube, gt)
-        state.selected = [1, 4, 7]
-        state.remaining = [0, 2, 3, 5, 6, 8]
+        for band in (1, 4, 7):
+            state.select(band)
         state.rebuild_estimated_gt()
-        state.fill_igbs_mi(state.remaining)
-        hand = init_state(qcube, gt)
-        hand.selected = list(state.selected)
-        hand.rebuild_estimated_gt()
-        for c in state.remaining:
-            pair, est = state._igbs_mi[c]
-            assert pair.hex() == brute.mutual_information(
-                state._gt_est_pair, state.series[c]).hex()
-            assert est.hex() == brute.mutual_information(
-                state.estimated_gt, state.series[c]).hex()
-            # computed on demand, one candidate at a time
-            assert score_igbs(c, hand).hex() == score_igbs(c, state).hex()
+        assert state.remaining == [0, 2, 3, 5, 6, 8]
+        scores = score_igbs(state.remaining, state, lam=0.75)
+        est = state.estimated_gt
+        pair = pair_series(state.labels, est)
+        for c, score in zip(state.remaining, scores):
+            rel = float(state.relevance[c])
+            gain = (brute.mutual_information(pair, state.series[c]) - rel
+                    - brute.mutual_information(est, state.series[c]))
+            assert score.hex() == (rel + 0.75 * gain / 3).hex()
+            # one candidate at a time counts the same bits
+            assert score_igbs([c], state, lam=0.75)[0].hex() == score.hex()
 
     @pytest.mark.parametrize("levels", [2, 4, 16])
     def test_summed_estimate_joint_is_the_pair_count(self, levels):
         qcube, gt = random_instance(np.random.default_rng(levels), bands=9, n=300, levels=levels)
         state = init_state(qcube, gt)
-        state.selected = [0, 3]
+        state.select(0)
+        state.select(3)
         state.rebuild_estimated_gt()
-        pair, est = state._gt_est_pair, state.estimated_gt
+        est = state.estimated_gt
+        pair = pair_series(state.labels, est)
         rows = list(state.matrix[1:])
         counts = np.concatenate(list(accel.hist2d_rows(pair.symbols, rows, pair.alphabet, levels)))
         joint = estimate_joint(counts, est.alphabet)
@@ -476,14 +503,22 @@ class TestStackedStep:
     @pytest.mark.parametrize("levels", [4, 16])
     @pytest.mark.parametrize("method", ["MIM", "MIFS", "MRMR", "MIBF", "IGBS"])
     def test_greedy_steps_match_one_pair_greedy(self, mi_block, method, levels):
-        qcube, gt = random_instance(np.random.default_rng(9), bands=10, n=300,
-                                    levels=levels, classes=4)
-        state = init_state(qcube, gt)
-        res = greedy_select(qcube, gt, method, k=6)
-        selected, scores = brute.greedy_scores(state.series, state.labels, state.matrix,
-                                               levels, method, k=6)
-        assert res.selected == selected
-        assert [s.hex() for s in res.step_scores] == [s.hex() for s in scores]
+        rng = np.random.default_rng(9)
+        qcube, gt = random_instance(rng, bands=10, n=300, levels=levels, classes=4)
+        # the same pixels with bands 0 and 3 copied over 6, 8 and 9: equal
+        # scores, tied to the last bit
+        copied = qcube.values.copy()
+        copied[[6, 8, 9]] = copied[[0, 3, 0]]
+        copies = QuantizedCube(values=copied, levels=levels)
+        # beta = lambda = ±1e308 overflows scores to ±inf ties
+        for qc, weight in ((qcube, None), (copies, None), (copies, 1e308), (copies, -1e308)):
+            params = {} if weight is None else {"beta": weight, "lam": weight}
+            state = init_state(qc, gt)
+            res = greedy_select(qc, gt, method, k=6, **params)
+            selected, scores = brute.greedy_scores(state.series, state.labels, state.matrix,
+                                                   levels, method, k=6, **params)
+            assert res.selected == selected
+            assert [s.hex() for s in res.step_scores] == [s.hex() for s in scores]
 
     @pytest.mark.parametrize("method", ["MIFS", "IGBS"])
     def test_memory_is_bounded_by_the_block(self, method):
