@@ -45,7 +45,7 @@ def stratified_split(
     labels = label_series(gt).symbols
     rng = np.random.default_rng(seed)
     train, test = [], []
-    for cls in np.unique(labels):
+    for cls in gt.classes:
         idx = np.where(labels == cls)[0]
         if idx.size < 2:
             raise DataError(f"class {int(cls)} has fewer than 2 labeled pixels")
@@ -116,7 +116,7 @@ def train_svm(
         raise DataError("training data must contain at least 2 classes")
     if gamma is None:
         gamma = 1.0 / features.shape[1]
-    if c <= 0 or gamma <= 0 or tol <= 0:
+    if not (c > 0 and gamma > 0 and tol > 0):  # NaN fails too
         raise ConfigError("c, gamma and tol must all be positive")
 
     pairs = []

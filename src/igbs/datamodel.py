@@ -4,11 +4,15 @@ A hypercube is stored band-major (bands, rows, cols). Quantization is
 per-band min-max scaling onto ``[0, levels-1]`` with round-half-up, which is
 the alphabet every information estimator downstream operates on. Probability
 estimates only ever see pixels with a nonzero ground-truth label.
+
+``GroundTruth`` fixes those pixels at construction (``gt.index``, their flat
+row-major indices, and ``gt.classes``), and ``labeled_matrix(qcube, gt,
+bands=None)`` is the one reader of their values, for any list of bands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,21 +23,16 @@ MAX_LEVELS = 256
 
 
 @dataclass(frozen=True, eq=False)
-class HyperCube:
-    """Band-major raster of radiance values, shape (bands, rows, cols)."""
+class _BandMajor:
+    """The geometry shared by cubes: ``values`` has shape (bands, rows, cols)."""
 
     values: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+    def _store(self, values: np.ndarray, kind: str) -> np.ndarray:
         if values.ndim != 3 or min(values.shape) < 1:
-            raise DataError(
-                f"cube must be 3-D (bands, rows, cols), got shape {values.shape}"
-            )
-        if not np.isfinite(values).all():
-            bad = np.where(~np.isfinite(values).all(axis=(1, 2)))[0]
-            raise DataError(f"non-finite values in band {int(bad[0])}")
+            raise DataError(f"{kind} must be 3-D (bands, rows, cols), got shape {values.shape}")
         object.__setattr__(self, "values", values)
+        return values
 
     @property
     def bands(self) -> int:
@@ -49,10 +48,23 @@ class HyperCube:
 
 
 @dataclass(frozen=True, eq=False)
+class HyperCube(_BandMajor):
+    """Band-major raster of radiance values, held as float64."""
+
+    def __post_init__(self):
+        values = self._store(np.asarray(self.values, dtype=np.float64), "cube")
+        if not np.isfinite(values).all():
+            bad = np.where(~np.isfinite(values).all(axis=(1, 2)))[0]
+            raise DataError(f"non-finite values in band {int(bad[0])}")
+
+
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Per-pixel class labels, 0 = unlabeled, 1..C = classes."""
 
     labels: np.ndarray
+    index: np.ndarray = field(init=False)  # labeled pixels' flat indices, row-major
+    classes: np.ndarray = field(init=False)  # sorted distinct nonzero labels
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -63,9 +75,13 @@ class GroundTruth:
         labels = labels.astype(np.int64, copy=False)
         if (labels < 0).any():
             raise DataError("ground truth labels must be nonnegative")
-        if len(np.unique(labels[labels > 0])) < 2:
+        index = np.flatnonzero(labels)
+        classes = np.unique(np.take(labels, index))
+        if classes.size < 2:
             raise DataError("ground truth needs at least 2 distinct nonzero labels")
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def rows(self) -> int:
@@ -76,47 +92,22 @@ class GroundTruth:
         return self.labels.shape[1]
 
     @property
-    def classes(self) -> np.ndarray:
-        """Sorted distinct nonzero labels."""
-        return np.unique(self.labels[self.labels > 0])
-
-    @property
     def mask(self) -> np.ndarray:
         return self.labels > 0
 
-    @property
-    def n_labeled(self) -> int:
-        return int(np.count_nonzero(self.labels))
-
 
 @dataclass(frozen=True, eq=False)
-class QuantizedCube:
+class QuantizedCube(_BandMajor):
     """Cube geometry with integer values in [0, levels-1]."""
 
-    values: np.ndarray
     levels: int
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.int64)
-        if values.ndim != 3 or min(values.shape) < 1:
-            raise DataError(f"quantized cube must be 3-D, got shape {values.shape}")
+        values = self._store(np.asarray(self.values, dtype=np.int64), "quantized cube")
         if not 2 <= self.levels <= MAX_LEVELS:
             raise DataError(f"levels must be in [2, {MAX_LEVELS}], got {self.levels}")
         if values.min() < 0 or values.max() >= self.levels:
             raise DataError("quantized values outside [0, levels-1]")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def bands(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,20 +164,27 @@ def quantize_cube(cube: HyperCube, levels: int = DEFAULT_LEVELS) -> QuantizedCub
     return QuantizedCube(values=q, levels=levels)
 
 
-def labeled_matrix(qcube: QuantizedCube, gt: GroundTruth) -> np.ndarray:
-    """All bands' labeled-pixel series as one C-ordered (bands, n_labeled)
-    array, with pixels in row-major order, so each band's series is a
-    contiguous row."""
+def labeled_matrix(qcube: QuantizedCube, gt: GroundTruth, bands=None) -> np.ndarray:
+    """The labeled-pixel series of ``bands`` (default: every band), in that
+    order, as one C-ordered (len(bands), n_labeled) array with pixels in
+    ``gt.index`` order, so each band's series is a contiguous row."""
     if (qcube.rows, qcube.cols) != (gt.rows, gt.cols):
         raise DataError(
             f"geometry mismatch: cube {qcube.rows}x{qcube.cols} "
             f"vs ground truth {gt.rows}x{gt.cols}"
         )
+    planes = qcube.values.reshape(qcube.bands, -1)
+    if bands is not None:
+        bands = list(bands)
+        bad = [b for b in bands if not 0 <= b < qcube.bands]
+        if bad:
+            raise DataError(f"bands out of range [0, {qcube.bands}): {bad}")
+        planes = planes[bands]
     # one copy; values[:, mask] is the same array in Fortran order
-    return np.take(qcube.values.reshape(qcube.bands, -1), np.flatnonzero(gt.mask), axis=1)
+    return np.take(planes, gt.index, axis=1)
 
 
 def label_series(gt: GroundTruth) -> DiscreteSeries:
-    """The class labels of the labeled pixels, in the same row-major order."""
-    labels = gt.labels[gt.mask]
-    return DiscreteSeries(symbols=labels, alphabet=int(labels.max()) + 1)
+    """The class labels of the labeled pixels, in ``gt.index`` order."""
+    return DiscreteSeries(symbols=np.take(gt.labels, gt.index),
+                          alphabet=int(gt.classes[-1]) + 1)

@@ -32,7 +32,7 @@ def load_dataset(config: RunConfig) -> tuple[HyperCube, GroundTruth]:
 def band_features(qcube: QuantizedCube, gt: GroundTruth, bands) -> np.ndarray:
     """Selected bands' quantized values at labeled pixels, scaled to [0, 1],
     as a C-ordered (n_labeled, |bands|) array."""
-    mat = labeled_matrix(QuantizedCube(values=qcube.values[list(bands)], levels=qcube.levels), gt)
+    mat = labeled_matrix(qcube, gt, bands)
     return np.ascontiguousarray(mat.T, dtype=np.float64) / (qcube.levels - 1)
 
 

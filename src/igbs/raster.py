@@ -84,7 +84,7 @@ def load_cube(header_path: str) -> HyperCube:
     header = build_record(CubeHeader, read_json_object(header_path, DataError), DataError)
     raw = _read_raw(header_path[: -len(".hdr.json")] + ".raw", header.dtype,
                     (header.bands, header.rows, header.cols))
-    return HyperCube(values=raw.astype(np.float64))
+    return HyperCube(values=raw)
 
 
 def save_cube(cube: HyperCube, base_path: str) -> tuple[str, str]:
@@ -119,14 +119,12 @@ def load_gt(path: str, rows: int | None = None, cols: int | None = None) -> Grou
     else:
         if rows is None or cols is None:
             raise DataError("raw ground truth needs rows and cols from the cube")
-        grid = _read_raw(path, "u16", (rows, cols)).astype(np.int64)
+        grid = _read_raw(path, "u16", (rows, cols))
     if rows is not None and cols is not None and grid.shape != (rows, cols):
         raise DataError(
             f"{path}: ground truth is {grid.shape[0]}x{grid.shape[1]}, "
             f"cube is {rows}x{cols}"
         )
-    if (grid < 0).any():
-        raise DataError(f"{path}: negative labels")
     return GroundTruth(labels=grid)
 
 
@@ -144,10 +142,10 @@ def series_to_grid(values: np.ndarray, gt: GroundTruth, offset: int = 1) -> np.n
     the unlabeled (black) background.
     """
     values = np.asarray(values)
-    if values.shape[0] != gt.n_labeled:
+    if values.shape[0] != gt.index.size:
         raise DataError("series length does not match the labeled pixel count")
     grid = np.zeros((gt.rows, gt.cols), dtype=np.int64)
-    grid[gt.mask] = values + offset
+    np.put(grid, gt.index, values + offset)
     return grid
 
 

@@ -134,10 +134,7 @@ def build_estimated_gt(
     idx = list(bands)
     if not idx:
         raise DataError("estimated ground truth needs at least one band")
-    bad = [b for b in idx if not 0 <= b < qcube.bands]
-    if bad:
-        raise DataError(f"bands out of range [0, {qcube.bands}): {bad}")
-    return _estimated_map(labeled_matrix(qcube, gt)[idx].sum(axis=0), len(idx), qcube.levels)
+    return _estimated_map(labeled_matrix(qcube, gt, idx).sum(axis=0), len(idx), qcube.levels)
 
 
 def _redundancy(cands, state: SelectionState) -> np.ndarray:
@@ -227,6 +224,8 @@ def greedy_select(
         raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
     if not 1 <= k <= qcube.bands:
         raise ConfigError(f"k must be in [1, {qcube.bands}], got {k}")
+    if not all(v == v for v in (beta, threshold, lam)):  # NaN alone is unequal to itself
+        raise ConfigError(f"NaN among beta={beta}, threshold={threshold}, lambda={lam}")
 
     state = init_state(qcube, gt)
     first = int(np.argmax(state.relevance))

@@ -148,6 +148,14 @@ class TestSvm:
         with pytest.raises(MethodError, match="gap nan"):
             train_svm(x, y)
 
+    @pytest.mark.parametrize("param", ["c", "gamma", "tol"])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
+    def test_nan_or_nonpositive_parameter_rejected(self, param, value):
+        # NaN fails every comparison, so it must not pass a "<= 0" test
+        x, y = two_clusters()
+        with pytest.raises(ConfigError, match="positive"):
+            train_svm(x, y, **{param: value})
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_training_features_rejected(self, value):
         x, y = two_clusters()

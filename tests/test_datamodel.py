@@ -30,6 +30,18 @@ class TestTypes:
         with pytest.raises(DataError):
             GroundTruth(labels=np.array([[0, 1], [1, 0]]))
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_gt_fixes_labeled_index_and_classes(self, transpose):
+        rng = np.random.default_rng(14)
+        labels = rng.choice([0, 0, 2, 5, 9], size=(7, 9))
+        if transpose:
+            labels = labels.T  # a non-contiguous view: order stays row-major
+            assert not labels.flags.c_contiguous
+        gt = GroundTruth(labels=labels)
+        assert np.array_equal(gt.index, np.flatnonzero(labels > 0))
+        assert np.array_equal(gt.classes, np.unique(labels[labels > 0]))
+        assert np.array_equal(label_series(gt).symbols, labels[labels > 0])
+
     def test_gt_rejects_negative_labels(self):
         with pytest.raises(DataError):
             GroundTruth(labels=np.array([[-1, 1], [2, 0]]))
@@ -172,6 +184,24 @@ class TestLabeledSeries:
         assert mat.flags.c_contiguous
         assert mat.dtype == q.values.dtype
         assert np.array_equal(mat, q.values[:, gt.mask])
+
+    @pytest.mark.parametrize("bands", [[0, 2, 4], [4, 0, 3], [1, 1, 3, 1], [2]])
+    def test_band_subset_equals_rows_of_the_full_matrix(self, bands):
+        rng = np.random.default_rng(15)
+        q = QuantizedCube(values=rng.integers(0, 4, size=(5, 6, 7)), levels=4)
+        labels = rng.integers(0, 3, size=(6, 7))
+        labels[0, 0], labels[0, 1] = 1, 2
+        gt = GroundTruth(labels=labels)
+        mat = labeled_matrix(q, gt, bands)
+        assert mat.flags.c_contiguous
+        assert np.array_equal(mat, labeled_matrix(q, gt)[bands])
+
+    @pytest.mark.parametrize("bands", [[5], [-1], [0, 9]])
+    def test_band_out_of_range(self, bands):
+        q = QuantizedCube(values=np.zeros((5, 2, 2), dtype=int), levels=2)
+        gt = GroundTruth(labels=np.array([[1, 2], [0, 1]]))
+        with pytest.raises(DataError, match="out of range"):
+            labeled_matrix(q, gt, bands)
 
     def test_geometry_mismatch(self):
         q = QuantizedCube(values=np.zeros((1, 2, 2), dtype=int), levels=2)

@@ -137,6 +137,19 @@ class TestMaps:
         assert body == (bytes(raster.PALETTE[19]) + bytes(raster.PALETTE[0])
                         + bytes(raster.PALETTE[1]) + bytes(3))
 
+    @pytest.mark.parametrize("classifier", ["svm", "1nn"])
+    def test_huge_class_id_compares(self, small_dataset, tmp_path, classifier):
+        # estimator histograms are sized by class rank, not by class id
+        base, _, gt = small_dataset
+        labels = np.where(gt.labels == 3, 10**15, gt.labels)
+        csv = tmp_path / "huge.csv"
+        csv.write_text("".join(",".join(map(str, row)) + "\n" for row in labels.tolist()))
+        out = tmp_path / "run"
+        argv = ["compare", "--cube", base, "--gt", str(csv), "--methods", "MIM,IGBS",
+                "--k", "3", "--classifier", classifier, "--out", str(out)]
+        assert main(argv) == 0
+        assert "1000000000000000" in (out / "comparison.txt").read_text()
+
     def test_series_to_grid_offsets_symbols(self):
         gt = GroundTruth(labels=np.array([[1, 0], [0, 2]]))
         grid = raster.series_to_grid(np.array([0, 3]), gt, offset=1)

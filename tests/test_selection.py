@@ -88,6 +88,22 @@ class TestEstimatedGt:
         with pytest.raises(DataError):
             build_estimated_gt(qcube, gt, [])
 
+    def test_reads_only_its_own_bands(self):
+        # 2 bands of a 220-band scene: the labeled matrix of every band
+        # would hold ~110 planes' bytes at this labeled share
+        rng = np.random.default_rng(13)
+        qcube = QuantizedCube(values=rng.integers(0, 16, size=(220, 40, 40)), levels=16)
+        gt = GroundTruth(labels=rng.integers(0, 3, size=(40, 40)))
+        tracemalloc.start()
+        try:
+            est = build_estimated_gt(qcube, gt, [1, 4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * qcube.values[0].nbytes
+        mean = qcube.values[[1, 4]].reshape(2, -1)[:, gt.index].sum(axis=0) / 2
+        assert np.array_equal(est.symbols, np.floor(mean + 0.5))
+
 
 class TestScores:
     def test_mifs_without_selected_equals_relevance(self):
@@ -347,6 +363,15 @@ class TestGreedy:
         qcube, gt = make_instance([[0, 1]], [1, 2])
         with pytest.raises(ConfigError):
             greedy_select(qcube, gt, "RANDOM", k=1)
+
+    @pytest.mark.parametrize("method, param", [("MIFS", "beta"), ("IGBS", "lam"),
+                                               ("MIBF", "threshold"), ("MIM", "beta")])
+    def test_nan_weight_rejected(self, method, param):
+        # a NaN weight made every step score NaN, so argmax picked the first
+        # remaining band, and a NaN threshold stopped MIBF after one band
+        qcube, gt = random_instance(np.random.default_rng(4), bands=6, n=64)
+        with pytest.raises(ConfigError, match="NaN"):
+            greedy_select(qcube, gt, method, k=3, **{param: float("nan")})
 
 
 # float.hex() of every step score, and the picks, of a k=8 run of each method
