@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .datamodel import GroundTruth, label_series
+from .datamodel import GroundTruth, integers, label_series
 from .errors import ConfigError, DataError, MethodError
 
 DEFAULT_C = 100.0
@@ -42,6 +42,8 @@ def stratified_split(
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"fraction must be in (0, 1), got {fraction}")
+    if not seed >= 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     labels = label_series(gt).symbols
     rng = np.random.default_rng(seed)
     train, test = [], []
@@ -106,7 +108,7 @@ def train_svm(
     ``DEFAULT_MAX_ITER`` steps raises MethodError naming the pair.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = integers(labels, "SVM labels")
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise DataError("features must be (n, d) with one label per row")
     if not np.isfinite(features).all():
@@ -177,7 +179,7 @@ def knn_predict(
     pixel index."""
     train = np.ascontiguousarray(train_features, dtype=np.float64)
     test = np.ascontiguousarray(test_features, dtype=np.float64)
-    labels = np.asarray(train_labels, dtype=np.int64)
+    labels = integers(train_labels, "1-NN labels")
     if train.shape[0] == 0:
         raise DataError("1-NN needs a nonempty training set")
     if train.ndim != 2 or test.ndim != 2 or train.shape[1] != test.shape[1]:
@@ -246,14 +248,16 @@ def evaluate(pred, truth, classes=None) -> EvalReport:
     series; pass the ground truth's class list to keep rows for classes
     missing from the test split (their accuracy is reported as NaN).
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    pred = integers(pred, "predicted labels")
+    truth = integers(truth, "true labels")
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size < 1:
         raise DataError("pred and truth must be equal-length nonempty 1-D series")
     if classes is None:
         classes = np.unique(np.concatenate([truth, pred]))
     else:
-        classes = np.asarray(classes, dtype=np.int64)
+        classes = integers(classes, "classes")
+        if classes.ndim != 1 or (np.diff(classes) <= 0).any():
+            raise DataError("classes must be a strictly increasing 1-D list")
     ti = np.searchsorted(classes, truth)
     pi = np.searchsorted(classes, pred)
     if (

@@ -17,10 +17,10 @@ from dataclasses import fields
 
 from . import raster
 from .datamodel import quantize_cube
-from .errors import ConfigError, DataError, MethodError, build_record, cast_fields
+from .errors import ConfigError, DataError, MethodError, build_record
 from .errors import integer, read_json_object, sequence
 from .pipeline import load_dataset, run_compare
-from .report import FIELDS, RunConfig
+from .report import RunConfig
 from .selection import METHODS, build_estimated_gt, greedy_select
 from .synth import SynthSpec, generate_cube
 
@@ -33,14 +33,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _add_run_flags(sub):
-    """``--config`` plus one flag per ``report.FIELDS`` row but ``methods``,
-    named by its report key (or field) with ``-`` for ``_``. Every flag is a
-    plain string: the record casts and checks it."""
-    sub.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
-    for name, _, key, _, help_text in FIELDS:
-        if name != "methods":
-            sub.add_argument("--" + (key or name).replace("_", "-"), dest=name, help=help_text)
+def _add_record_flags(sub, cls, skip=()):
+    """``--config`` plus one flag per field of the record ``cls`` not in
+    ``skip``: the field's ``flag``, else its report key (or name) with ``-``
+    for ``_``. Every flag is a plain string: the record casts and checks it."""
+    sub.add_argument("--config", help=f"JSON file with {cls.__name__} fields; flags override it")
+    for f in fields(cls):
+        if f.name not in skip:
+            key = f.metadata.get("key") or f.name
+            flag = f.metadata.get("flag", "--" + key.replace("_", "-"))
+            sub.add_argument(flag, dest=f.name, help=f.metadata.get("help"))
 
 
 def _record(cls, args):
@@ -123,8 +125,11 @@ def cmd_render(args) -> int:
     else:
         gt = raster.load_gt(config.gt)
     if args.bands is not None:
-        cast_fields(args, [("bands", sequence(integer))], ConfigError)
-        est = build_estimated_gt(quantize_cube(cube, config.levels), gt, args.bands)
+        try:
+            bands = sequence(integer)(args.bands)
+        except ValueError as exc:
+            raise ConfigError(f"bad bands: {exc}") from exc
+        est = build_estimated_gt(quantize_cube(cube, config.levels), gt, bands)
         grid = raster.series_to_grid(est.symbols, gt, offset=1)
     else:
         grid = gt.labels
@@ -146,24 +151,18 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_one = sub.add_parser(verb, help=text)
         p_one.add_argument("--method", dest="methods", required=True, help=" | ".join(METHODS))
-        _add_run_flags(p_one)
+        _add_record_flags(p_one, RunConfig, skip=("methods",))
         p_one.set_defaults(func=func)
 
     p_compare = sub.add_parser("compare", help="run several methods and tabulate")
     p_compare.add_argument(
         "--methods", help=f"comma-separated subset of {','.join(METHODS)} (default all)"
     )
-    _add_run_flags(p_compare)
+    _add_record_flags(p_compare, RunConfig, skip=("methods",))
     p_compare.set_defaults(func=cmd_compare)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    p_synth.add_argument("--config", help="JSON file with synth spec fields")
-    for name in ("rows", "cols", "bands", "classes", "seed"):
-        p_synth.add_argument("--" + name)
-    p_synth.add_argument("--informative", dest="informative_bands",
-                         help="comma-separated informative band indices")
-    p_synth.add_argument("--noise-sigma", dest="noise_sigma")
-    p_synth.add_argument("--separation", dest="class_separation")
+    _add_record_flags(p_synth, SynthSpec)
     p_synth.add_argument("--out", required=True, help="output base path")
     p_synth.set_defaults(func=cmd_synth)
 

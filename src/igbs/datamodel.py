@@ -22,6 +22,16 @@ DEFAULT_LEVELS = 16
 MAX_LEVELS = 256
 
 
+def integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; a nonempty array of any other kind
+    (float, even integral, or bool) raises DataError naming ``what``. Empty
+    input passes through, so the caller's shape check names it."""
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise DataError(f"{what} must be integers")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class _BandMajor:
     """The geometry shared by cubes: ``values`` has shape (bands, rows, cols)."""
@@ -70,9 +80,7 @@ class GroundTruth:
         labels = np.asarray(self.labels)
         if labels.ndim != 2 or min(labels.shape) < 1:
             raise DataError(f"ground truth must be 2-D, got shape {labels.shape}")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise DataError("ground truth labels must be integers")
-        labels = labels.astype(np.int64, copy=False)
+        labels = integers(labels, "ground truth labels")
         if (labels < 0).any():
             raise DataError("ground truth labels must be nonnegative")
         index = np.flatnonzero(labels)
@@ -118,7 +126,7 @@ class DiscreteSeries:
     alphabet: int
 
     def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=np.int64)
+        symbols = integers(self.symbols, "series symbols")
         if symbols.ndim != 1 or symbols.shape[0] < 1:
             raise DataError("series must be 1-D and nonempty")
         if self.alphabet < 1:

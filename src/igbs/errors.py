@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, field, fields
 
 
 class IgbsError(Exception):
@@ -61,14 +61,21 @@ def sequence(cast):
     return cast_items
 
 
-def cast_fields(record, casts, error) -> None:
-    """Coerce each ``(field, cast)`` of ``record`` in place; a failed cast
-    raises ``error``. Frozen dataclasses are written through object."""
-    for name, cast in casts:
+def typed(cast, default=MISSING, **metadata):
+    """A dataclass field that declares its own ``cast``; further metadata,
+    such as a report key or CLI help, rides along for other readers."""
+    return field(default=default, metadata={"cast": cast, **metadata})
+
+
+def cast_fields(record, error) -> None:
+    """Coerce each field of ``record`` in place by its declared cast; a
+    failed cast raises ``error``. Frozen dataclasses are written through
+    object."""
+    for f in fields(record):
         try:
-            object.__setattr__(record, name, cast(getattr(record, name)))
+            object.__setattr__(record, f.name, f.metadata["cast"](getattr(record, f.name)))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise error(f"bad {name}: {exc}") from exc
+            raise error(f"bad {f.name}: {exc}") from exc
 
 
 def read_json_object(path: str, error) -> dict:

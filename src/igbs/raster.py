@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import GroundTruth, HyperCube
-from .errors import DataError, build_record, cast_fields, integer, read_json_object, text
+from .errors import DataError, build_record, cast_fields, integer, read_json_object, text, typed
 
 _DTYPES = {"u16": "<u2", "f32": "<f4"}
 
@@ -33,21 +33,18 @@ PALETTE = (
     (128, 128, 0), (255, 215, 180), (0, 0, 128), (128, 128, 128),
 )
 
-_HEADER_CASTS = (("rows", integer), ("cols", integer), ("bands", integer),
-                 ("dtype", text), ("interleave", text), ("byte_order", text))
-
 
 @dataclass(frozen=True)
 class CubeHeader:
-    rows: int
-    cols: int
-    bands: int
-    dtype: str = "f32"
-    interleave: str = "bsq"
-    byte_order: str = "little"
+    rows: int = typed(integer)
+    cols: int = typed(integer)
+    bands: int = typed(integer)
+    dtype: str = typed(text, "f32")
+    interleave: str = typed(text, "bsq")
+    byte_order: str = typed(text, "little")
 
     def __post_init__(self):
-        cast_fields(self, _HEADER_CASTS, DataError)
+        cast_fields(self, DataError)
         if min(self.rows, self.cols, self.bands) < 1:
             raise DataError("header dimensions must all be >= 1")
         if self.dtype not in _DTYPES:

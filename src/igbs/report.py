@@ -10,14 +10,14 @@ config that reproduces it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .classify import DEFAULT_C, DEFAULT_FRACTION, DEFAULT_TOL
 from .datamodel import DEFAULT_LEVELS, MAX_LEVELS
 from .errors import ConfigError, cast_fields
-from .errors import finite, integer, optional, sequence, text
+from .errors import finite, integer, optional, sequence, text, typed
 from .selection import (
     DEFAULT_BETA,
     DEFAULT_LAMBDA,
@@ -28,51 +28,38 @@ from .selection import (
 
 CLASSIFIERS = ("svm", "1nn")
 
-# Every RunConfig field once, in report order: (field, cast, report key,
-# report text of None, CLI help). A report writes the method it ran under
-# ``method`` and does not record ``out``, the directory it was written to.
-# The CLI's run flags are generated from this table.
-FIELDS = (
-    ("methods", sequence(lambda m: text(m).strip().upper()), "method", None, None),
-    ("cube", optional(text), "cube", "-", "cube base path or .hdr.json path"),
-    ("gt", optional(text), "gt", "-", "ground truth path (.gt.raw or .csv)"),
-    ("k", integer, "k", None, "number of bands to select"),
-    ("levels", integer, "levels", None, "quantization levels"),
-    ("beta", finite, "beta", None, "MIFS redundancy weight"),
-    ("threshold", finite, "threshold", None, "MIBF acceptance threshold"),
-    ("lam", finite, "lambda", None, "IGBS interaction weight"),
-    ("classifier", text, "classifier", None, "svm or 1nn"),
-    ("svm_c", finite, "svm_c", None, None),
-    ("svm_gamma", optional(finite), "svm_gamma", "auto", None),
-    ("svm_tol", finite, "svm_tol", None, None),
-    ("fraction", finite, "fraction", None, "train fraction of labeled pixels"),
-    ("seed", integer, "seed", None, None),
-    ("out", text, None, None, "output directory"),
-)
-
 
 @dataclass
 class RunConfig:
-    cube: str | None = None
-    gt: str | None = None
-    methods: tuple = METHODS
-    k: int = 10
-    levels: int = DEFAULT_LEVELS
-    beta: float = DEFAULT_BETA
-    threshold: float = DEFAULT_THRESHOLD
-    lam: float = DEFAULT_LAMBDA
-    classifier: str = "svm"
-    svm_c: float = DEFAULT_C
-    svm_gamma: float | None = None  # None resolves to 1/n_selected_bands
-    svm_tol: float = DEFAULT_TOL
-    fraction: float = DEFAULT_FRACTION
-    seed: int = 0
-    out: str = "run"
+    """A run's parameters. Each field declares, in report order, its cast,
+    its report ``key`` (default: its name), the report text of ``none`` and
+    its CLI ``help``. A report writes the method it ran under ``method`` and
+    does not record ``out``, the directory it was written to. The CLI's run
+    flags are generated from these fields."""
+
+    methods: tuple = typed(sequence(lambda m: text(m).strip().upper()), METHODS, key="method")
+    cube: str | None = typed(optional(text), None, none="-",
+                             help="cube base path or .hdr.json path")
+    gt: str | None = typed(optional(text), None, none="-",
+                           help="ground truth path (.gt.raw or .csv)")
+    k: int = typed(integer, 10, help="number of bands to select")
+    levels: int = typed(integer, DEFAULT_LEVELS, help="quantization levels")
+    beta: float = typed(finite, DEFAULT_BETA, help="MIFS redundancy weight")
+    threshold: float = typed(finite, DEFAULT_THRESHOLD, help="MIBF acceptance threshold")
+    lam: float = typed(finite, DEFAULT_LAMBDA, key="lambda", help="IGBS interaction weight")
+    classifier: str = typed(text, "svm", help="svm or 1nn")
+    svm_c: float = typed(finite, DEFAULT_C)
+    # None resolves to 1/n_selected_bands
+    svm_gamma: float | None = typed(optional(finite), None, none="auto")
+    svm_tol: float = typed(finite, DEFAULT_TOL)
+    fraction: float = typed(finite, DEFAULT_FRACTION, help="train fraction of labeled pixels")
+    seed: int = typed(integer, 0)
+    out: str = typed(text, "run", key=None, help="output directory")
 
     def __post_init__(self):
         """The one place a run's configuration is checked: every field is
         coerced to its type, and anything malformed raises ConfigError."""
-        cast_fields(self, ((name, cast) for name, cast, *_ in FIELDS), ConfigError)
+        cast_fields(self, ConfigError)
         unknown = [m for m in self.methods if m not in METHODS]
         # written so that NaN fails every range check
         checks = (
@@ -111,9 +98,7 @@ class RunConfig:
         if "method" not in values:
             raise ConfigError(f"{path} does not look like a method report")
         raw = {}
-        for name, _, key, none, _ in FIELDS:
-            if key is None:
-                continue
+        for name, key, none in _reported():
             if key not in values:
                 raise ConfigError(f"{path}: report has no {key!r} line")
             raw[name] = None if values[key] == none else values[key]
@@ -136,14 +121,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _reported():
+    """(field, report key, report text of None) of every reported RunConfig
+    field, in report order."""
+    for f in fields(RunConfig):
+        key = f.metadata.get("key", f.name)
+        if key is not None:
+            yield f.name, key, f.metadata.get("none")
+
+
 def _report_items(config: RunConfig, method: str) -> list[tuple[str, str]]:
     """(report key, text) of every reported field, in report order."""
     items = []
-    for name, _, key, none, _ in FIELDS:
-        if key is not None:
-            value = method if name == "methods" else getattr(config, name)
-            # an empty path prints like an absent one
-            items.append((key, none if value in (None, "") else _fmt(value)))
+    for name, key, none in _reported():
+        value = method if name == "methods" else getattr(config, name)
+        # an empty path prints like an absent one
+        items.append((key, none if value in (None, "") else _fmt(value)))
     return items
 
 

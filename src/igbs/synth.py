@@ -24,30 +24,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import GroundTruth, HyperCube
-from .errors import ConfigError, DataError, cast_fields, finite, integer, sequence
-
-_CASTS = (
-    ("rows", integer), ("cols", integer), ("bands", integer), ("classes", integer),
-    ("informative_bands", sequence(integer)), ("noise_sigma", finite),
-    ("class_separation", finite), ("seed", integer),
-)
+from .errors import ConfigError, DataError, cast_fields, finite, integer, sequence, typed
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    rows: int = 64
-    cols: int = 64
-    bands: int = 50
-    classes: int = 4
-    informative_bands: tuple = (0, 10, 20, 30, 40)
-    noise_sigma: float = 1.0
-    class_separation: float = 10.0
-    seed: int = 0
+    rows: int = typed(integer, 64)
+    cols: int = typed(integer, 64)
+    bands: int = typed(integer, 50)
+    classes: int = typed(integer, 4)
+    informative_bands: tuple = typed(sequence(integer), (0, 10, 20, 30, 40), flag="--informative",
+                                     help="comma-separated informative band indices")
+    noise_sigma: float = typed(finite, 1.0)
+    class_separation: float = typed(finite, 10.0, flag="--separation")
+    seed: int = typed(integer, 0)
 
     def __post_init__(self):
         # a value of the wrong type is a configuration error, one out of
         # range a data error
-        cast_fields(self, _CASTS, ConfigError)
+        cast_fields(self, ConfigError)
         if min(self.rows, self.cols, self.bands) < 1:
             raise DataError("rows, cols and bands must all be >= 1")
         if self.classes < 2:

@@ -9,6 +9,7 @@ recipe and the IGBS_INDIAN_PINES / IGBS_PAVIA environment variables.
 import itertools
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def test_criterion_8_compare_determinism(tmp_path):
         ])
         assert code == 0
         files = sorted(os.listdir(out))
-        blobs.append({f: open(os.path.join(out, f), "rb").read() for f in files})
+        blobs.append({f: Path(out, f).read_bytes() for f in files})
     ok = blobs[0] == blobs[1]
     _report_line(8, "compare-determinism", ok, f"files {sorted(blobs[0])}")
 

@@ -80,6 +80,10 @@ class TestStratifiedSplit:
         with pytest.raises(ConfigError):
             stratified_split(gt, fraction=1.0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            stratified_split(grid_gt([4, 4]), fraction=0.5, seed=-1)
+
 
 class TestSvm:
     def test_separable_clusters_zero_training_errors(self):
@@ -130,6 +134,12 @@ class TestSvm:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             train_svm(np.zeros((4, 2)), np.ones(4, dtype=int))
+
+    def test_non_integer_labels_rejected(self):
+        # these were truncated to classes [1, 2]
+        x = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
+        with pytest.raises(DataError, match="labels must be integers"):
+            train_svm(x, np.array([1.5, 1.7, 2.2, 2.9]))
 
     def test_step_limit_raises_naming_the_pair(self, monkeypatch):
         # one SMO step cannot close the KKT gap on XOR; the limit is read
@@ -261,6 +271,11 @@ class TestKnn:
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
             knn_predict(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((1, 2)))
+
+    def test_non_integer_labels_rejected(self):
+        # [1.9, 2.9] predicted 1
+        with pytest.raises(DataError, match="labels must be integers"):
+            knn_predict(np.array([[0.0], [1.0]]), np.array([1.9, 2.9]), np.array([[0.1]]))
 
     @pytest.mark.parametrize("labels", [[1], [1, 2, 1, 2, 1], [[1, 2, 1]]])
     def test_one_label_per_train_row(self, labels):
@@ -525,3 +540,16 @@ class TestMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             evaluate(np.array([1, 2]), np.array([1]))
+
+    @pytest.mark.parametrize("pred, truth", [([1.5, 2.0], [1, 2]), ([1, 2], [1.0, 2.5])])
+    def test_non_integer_labels_rejected(self, pred, truth):
+        # evaluate([1.5, 2.0], [1, 2]).oa was 1.0
+        with pytest.raises(DataError, match="labels must be integers"):
+            evaluate(pred, truth)
+
+    # [2, 1] was reported as labels outside the list, [1, 1, 2] gave a 3x3
+    # matrix with a phantom row, [[1]] ended in numpy's ValueError
+    @pytest.mark.parametrize("classes", [[2, 1], [1, 1, 2], [[1]], [1.0, 2.5]])
+    def test_class_list_must_be_strictly_increasing_integers(self, classes):
+        with pytest.raises(DataError, match="classes must be"):
+            evaluate([1, 2], [1, 2], classes=classes)

@@ -58,6 +58,13 @@ class TestTypes:
         with pytest.raises(DataError):
             DiscreteSeries(symbols=np.array([], dtype=np.int64), alphabet=2)
 
+    def test_series_rejects_non_integer_symbols(self):
+        # [1.7, 0.2] was truncated to [1, 0]
+        with pytest.raises(DataError, match="symbols must be integers"):
+            DiscreteSeries(symbols=[1.7, 0.2], alphabet=2)
+        with pytest.raises(DataError, match="1-D and nonempty"):
+            DiscreteSeries(symbols=[], alphabet=2)
+
 
 class TestQuantize:
     def test_identity_after_scaling(self):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from igbs import classify, cli, pipeline, raster
 from igbs.cli import main
 from igbs.datamodel import GroundTruth, HyperCube
 from igbs.errors import ConfigError, DataError, MethodError, build_record, read_json_object
-from igbs.report import FIELDS, MethodOutcome, RunConfig, render_comparison, render_method_report
+from igbs.report import MethodOutcome, RunConfig, render_comparison, render_method_report
 from igbs.synth import SynthSpec, generate_cube
 
 
@@ -57,8 +58,8 @@ class TestCubeFormat:
                                              informative_bands=()))
         base = str(tmp_path / "cut")
         _, raw_path = raster.save_cube(cube, base)
-        data = open(raw_path, "rb").read()
-        open(raw_path, "wb").write(data[:-8])
+        data = Path(raw_path).read_bytes()
+        Path(raw_path).write_bytes(data[:-8])
         with pytest.raises(DataError, match="expected 128 bytes"):
             raster.load_cube(base + ".hdr.json")
 
@@ -109,7 +110,7 @@ class TestMaps:
         grid = np.array([[0, 1], [2, 1]])
         path = str(tmp_path / "m.ppm")
         raster.export_map(grid, path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         assert data.startswith(b"P6\n2 2\n255\n")
         body = data[len(b"P6\n2 2\n255\n"):]
         expected = (
@@ -123,7 +124,7 @@ class TestMaps:
     def test_constant_grid_is_single_color(self, tmp_path):
         path = str(tmp_path / "c.ppm")
         raster.export_map(np.full((3, 3), 5), path)
-        body = open(path, "rb").read().split(b"255\n", 1)[1]
+        body = Path(path).read_bytes().split(b"255\n", 1)[1]
         pixels = [body[i : i + 3] for i in range(0, len(body), 3)]
         assert len(set(pixels)) == 1
 
@@ -167,7 +168,7 @@ class TestRunCompare:
         for method in ("MIM", "IGBS"):
             assert os.path.exists(f"{out}/{method}.report.txt")
             assert os.path.exists(f"{out}/{method}.map.ppm")
-        text = open(f"{out}/comparison.txt").read()
+        text = Path(f"{out}/comparison.txt").read_text()
         assert text.splitlines()[0].startswith("params:")
         assert "OA(%)" in text and "Kappa(%)" in text
 
@@ -181,9 +182,9 @@ class TestRunCompare:
             pipeline.run_compare(config)
             blobs.append(
                 (
-                    open(f"{out}/MRMR.report.txt", "rb").read(),
-                    open(f"{out}/MRMR.map.ppm", "rb").read(),
-                    open(f"{out}/comparison.txt", "rb").read(),
+                    Path(f"{out}/MRMR.report.txt").read_bytes(),
+                    Path(f"{out}/MRMR.map.ppm").read_bytes(),
+                    Path(f"{out}/comparison.txt").read_bytes(),
                 )
             )
         assert blobs[0] == blobs[1]
@@ -198,8 +199,8 @@ class TestRunCompare:
         rerun_config = RunConfig.from_report(report_path)
         rerun_config.out = str(tmp_path / "second")
         pipeline.run_compare(rerun_config)
-        first = open(report_path, "rb").read()
-        second = open(f"{rerun_config.out}/MIFS.report.txt", "rb").read()
+        first = Path(report_path).read_bytes()
+        second = Path(f"{rerun_config.out}/MIFS.report.txt").read_bytes()
         assert first == second
 
     def test_degenerate_k_all_bands_same_set_same_oa(self, tmp_path):
@@ -238,9 +239,9 @@ class TestRunCompare:
         outcomes = pipeline.run_compare(config)
         assert outcomes[0].error is None
         assert outcomes[1].error == "forced failure"
-        comparison = open(f"{out}/comparison.txt").read()
+        comparison = Path(f"{out}/comparison.txt").read_text()
         assert "failed" in comparison
-        report = open(f"{out}/MRMR.report.txt").read()
+        report = Path(f"{out}/MRMR.report.txt").read_text()
         assert "status = failed" in report
 
     def test_comparison_layout_mirrors_class_rows(self):
@@ -502,7 +503,7 @@ class TestCli:
             "render", "--cube", base, "--gt", base + ".gt.raw",
             "--bands", "1,4", "--out", map_path,
         ]) == 0
-        assert open(map_path, "rb").read(2) == b"P6"
+        assert Path(map_path).read_bytes()[:2] == b"P6"
 
     def test_classify_prints_summary(self, tmp_path, capsys):
         base = str(tmp_path / "scene")
@@ -686,7 +687,8 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, exc)
     assert "Traceback" not in err
 
 
-# The run flags are generated from report.FIELDS; this pins their names.
+# The run and synth flags are generated from the record fields; these pin
+# their names.
 _RUN_FLAGS = {
     "cube": "--cube", "gt": "--gt", "k": "--k", "levels": "--levels", "beta": "--beta",
     "threshold": "--threshold", "lam": "--lambda", "classifier": "--classifier",
@@ -696,9 +698,11 @@ _RUN_FLAGS = {
 
 
 def test_every_run_field_has_one_row_and_a_flag():
-    names = [row[0] for row in FIELDS]
-    assert sorted(names) == sorted(f.name for f in dataclasses.fields(RunConfig))
-    assert set(_RUN_FLAGS) == set(names) - {"methods"}
+    declared = dataclasses.fields(RunConfig)
+    assert all(callable(f.metadata["cast"]) for f in declared)
+    # reports open with the method, then follow field order
+    assert declared[0].name == "methods"
+    assert set(_RUN_FLAGS) == {f.name for f in declared} - {"methods"}
     parser = cli.build_parser()
     for verb, method_flag in (("select", "--method"), ("classify", "--method"),
                               ("compare", "--methods")):
@@ -709,6 +713,23 @@ def test_every_run_field_has_one_row_and_a_flag():
         assert args.methods == "MIM"
         for name in _RUN_FLAGS:
             assert getattr(args, name) == f"<{name}>", (verb, name)
+
+
+_SYNTH_FLAGS = {
+    "rows": "--rows", "cols": "--cols", "bands": "--bands", "classes": "--classes",
+    "seed": "--seed", "informative_bands": "--informative", "noise_sigma": "--noise-sigma",
+    "class_separation": "--separation",
+}
+
+
+def test_every_synth_field_has_a_flag():
+    assert set(_SYNTH_FLAGS) == {f.name for f in dataclasses.fields(SynthSpec)}
+    argv = ["synth", "--out", "scene"]
+    for name, flag in _SYNTH_FLAGS.items():
+        argv += [flag, f"<{name}>"]
+    args = cli.build_parser().parse_args(argv)
+    for name in _SYNTH_FLAGS:
+        assert getattr(args, name) == f"<{name}>", name
 
 
 def test_help_exits_0(capsys):
