@@ -38,11 +38,13 @@ def hist2d_rows(x, rows, ax, ay):
     ``counts[r] == hist2d(x, row, ax, ay)`` for each row of the block. A
     block holds at most MI_BLOCK symbols and MI_BLOCK cells, or one row, and
     is counted by one ``np.bincount`` of the codes ``r*ax*ay + x*ay + row``,
-    which take one in-place add per block.
+    which take one in-place add per block. Codes are int64 whatever the
+    symbols' dtype: ``x * ay`` would wrap in uint8.
     """
     cells = ax * ay
     step = max(1, MI_BLOCK // max(len(x), cells))
-    base = x * ay + (np.arange(min(step, len(rows))) * cells)[:, None]
+    offsets = np.arange(min(step, len(rows))) * cells
+    base = np.asarray(x, dtype=np.int64) * ay + offsets[:, None]
     for s in range(0, len(rows), step):
         block = rows[s : s + step]
         codes = np.concatenate(block, dtype=np.int64).reshape(len(block), -1)

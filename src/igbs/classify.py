@@ -16,7 +16,7 @@ import numpy as np
 
 from . import accel
 from .datamodel import GroundTruth, integers, label_series
-from .errors import ConfigError, DataError, MethodError
+from .errors import ConfigError, DataError, MethodError, cast_value, integer
 
 DEFAULT_C = 100.0
 DEFAULT_TOL = 1e-3
@@ -42,7 +42,8 @@ def stratified_split(
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"fraction must be in (0, 1), got {fraction}")
-    if not seed >= 0:
+    seed = cast_value(seed, integer, ConfigError, "seed")
+    if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     labels = label_series(gt).symbols
     rng = np.random.default_rng(seed)
@@ -132,6 +133,7 @@ def train_svm(
             alpha, bias, iters, gap = accel.smo_solve(
                 kernel, y, float(c), float(tol), DEFAULT_MAX_ITER
             )
+            del kernel  # one Gram at a time: drop it before the next pair's
             if not gap <= tol:  # a NaN gap has not converged either
                 raise MethodError(
                     f"SMO did not converge for class pair ({ci}, {cj}): "

@@ -67,6 +67,7 @@ def cmd_select(args) -> int:
     config = _one_method(args)
     cube, gt = load_dataset(config)
     qcube = quantize_cube(cube, config.levels)
+    del cube  # not read again: drop the samples before selection
     result = greedy_select(
         qcube, gt, config.methods[0], config.k,
         beta=config.beta, threshold=config.threshold, lam=config.lam,

@@ -8,6 +8,12 @@ estimates only ever see pixels with a nonzero ground-truth label.
 ``GroundTruth`` fixes those pixels at construction (``gt.index``, their flat
 row-major indices, and ``gt.classes``), and ``labeled_matrix(qcube, gt,
 bands=None)`` is the one reader of their values, for any list of bands.
+
+A ``HyperCube`` keeps float32 samples as float32 (u16 samples widen to it
+exactly) and anything wider as float64; quantization computes in float64
+one band at a time, and a ``QuantizedCube`` holds its levels as uint8, so
+the labeled matrix and the band series are uint8 too. Every symbol code
+(``x * A_y + y``) is formed in int64, since it overflows uint8.
 """
 
 from __future__ import annotations
@@ -16,20 +22,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, cast_value, integer
 
 DEFAULT_LEVELS = 16
 MAX_LEVELS = 256
 
 
-def integers(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; a nonempty array of any other kind
-    (float, even integral, or bool) raises DataError naming ``what``. Empty
-    input passes through, so the caller's shape check names it."""
+def integers(values, what: str, widen: bool = True) -> np.ndarray:
+    """``values`` as an int64 array, or with ``widen=False`` in its own
+    integer dtype wherever int64 holds every value of that dtype, so a uint8
+    row is not copied. A nonempty array of any other kind (float, even
+    integral, or bool) raises DataError naming ``what``. Empty input passes
+    through, so the caller's shape check names it."""
     values = np.asarray(values)
     if values.size and not np.issubdtype(values.dtype, np.integer):
         raise DataError(f"{what} must be integers")
-    return values.astype(np.int64, copy=False)
+    if widen or not np.can_cast(values.dtype, np.int64):
+        values = values.astype(np.int64, copy=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +69,14 @@ class _BandMajor:
 
 @dataclass(frozen=True, eq=False)
 class HyperCube(_BandMajor):
-    """Band-major raster of radiance values, held as float64."""
+    """Band-major raster of radiance values: float32 where float32 holds
+    every value of the given dtype exactly (f32 and u16 samples), else
+    float64."""
 
     def __post_init__(self):
-        values = self._store(np.asarray(self.values, dtype=np.float64), "cube")
+        values = np.asarray(self.values)
+        dtype = np.float32 if np.can_cast(values.dtype, np.float32) else np.float64
+        values = self._store(np.asarray(values, dtype=dtype), "cube")
         if not np.isfinite(values).all():
             bad = np.where(~np.isfinite(values).all(axis=(1, 2)))[0]
             raise DataError(f"non-finite values in band {int(bad[0])}")
@@ -106,34 +120,42 @@ class GroundTruth:
 
 @dataclass(frozen=True, eq=False)
 class QuantizedCube(_BandMajor):
-    """Cube geometry with integer values in [0, levels-1]."""
+    """Cube geometry with integer values in [0, levels-1], held as uint8."""
 
     levels: int
 
     def __post_init__(self):
-        values = self._store(np.asarray(self.values, dtype=np.int64), "quantized cube")
-        if not 2 <= self.levels <= MAX_LEVELS:
-            raise DataError(f"levels must be in [2, {MAX_LEVELS}], got {self.levels}")
-        if values.min() < 0 or values.max() >= self.levels:
+        values = self._store(integers(self.values, "quantized values", widen=False),
+                             "quantized cube")
+        levels = cast_value(self.levels, integer, DataError, "levels")
+        if not 2 <= levels <= MAX_LEVELS:
+            raise DataError(f"levels must be in [2, {MAX_LEVELS}], got {levels}")
+        if values.min() < 0 or values.max() >= levels:
             raise DataError("quantized values outside [0, levels-1]")
+        object.__setattr__(self, "values", values.astype(np.uint8, copy=False))
+        object.__setattr__(self, "levels", levels)
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSeries:
-    """A sequence of symbols drawn from the alphabet {0, ..., alphabet-1}."""
+    """A sequence of symbols drawn from the alphabet {0, ..., alphabet-1};
+    the symbols keep a narrow integer dtype (a uint8 band row is not
+    copied)."""
 
     symbols: np.ndarray
     alphabet: int
 
     def __post_init__(self):
-        symbols = integers(self.symbols, "series symbols")
+        symbols = integers(self.symbols, "series symbols", widen=False)
         if symbols.ndim != 1 or symbols.shape[0] < 1:
             raise DataError("series must be 1-D and nonempty")
-        if self.alphabet < 1:
+        alphabet = cast_value(self.alphabet, integer, DataError, "alphabet")
+        if alphabet < 1:
             raise DataError("alphabet must be >= 1")
-        if symbols.min() < 0 or symbols.max() >= self.alphabet:
+        if symbols.min() < 0 or symbols.max() >= alphabet:
             raise DataError("series symbols outside [0, alphabet-1]")
         object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "alphabet", alphabet)
 
     def __len__(self) -> int:
         return self.symbols.shape[0]
@@ -145,31 +167,36 @@ def round_half_up(x: np.ndarray) -> np.ndarray:
 
 
 def quantize_cube(cube: HyperCube, levels: int = DEFAULT_LEVELS) -> QuantizedCube:
-    """Discretize each band to ``levels`` values by min-max scaling.
+    """Discretize each band to ``levels`` uint8 values by min-max scaling.
 
     Each band is scaled linearly so its minimum maps to 0 and its maximum to
     ``levels - 1``, then rounded half-up. A constant band maps entirely to 0.
+    The arithmetic is float64 whatever the cube's dtype (float32 widens
+    exactly) and runs one band at a time, so besides the cube and its levels
+    only one band's float64 buffer is held.
     """
     if not 2 <= levels <= MAX_LEVELS:
         raise DataError(f"levels must be in [2, {MAX_LEVELS}], got {levels}")
-    values = cube.values
-    lo = values.min(axis=(1, 2), keepdims=True)
-    hi = values.max(axis=(1, 2), keepdims=True)
-    span = hi - lo
-    # a constant band has values - lo == 0 exactly, so it maps to 0
-    span = np.where(span == 0, 1.0, span)
-    # round_half_up((values - lo) * ((levels - 1) / span)), one operation at
-    # a time in one buffer
-    scaled = values - lo
-    scaled *= (levels - 1) / span
-    scaled += 0.5
-    np.floor(scaled, out=scaled)
-    q = scaled.astype(np.int64)
-    del scaled
-    # a band whose range overflows float64 scales to NaN, which casts to
-    # an arbitrary integer
-    np.clip(q, 0, levels - 1, out=q)
-    return QuantizedCube(values=q, levels=levels)
+    out = np.empty(cube.values.shape, dtype=np.uint8)
+    scaled = np.empty(cube.values.shape[1:])
+    for band, plane in enumerate(cube.values):
+        np.copyto(scaled, plane)
+        lo = scaled.min()
+        span = scaled.max() - lo
+        # round_half_up((plane - lo) * ((levels - 1) / span)), one operation
+        # at a time in one buffer; a constant band has plane - lo == 0
+        # exactly, so it maps to 0
+        scaled -= lo
+        scaled *= (levels - 1) / (span if span != 0 else 1.0)
+        scaled += 0.5
+        np.floor(scaled, out=scaled)
+        # a range that overflows float64 scales to NaN and a subnormal span
+        # scales the top to inf; casting either to an integer is undefined,
+        # so clip in float first (fmax sends NaN to 0)
+        np.fmax(scaled, 0.0, out=scaled)
+        np.fmin(scaled, levels - 1, out=scaled)
+        out[band] = scaled
+    return QuantizedCube(values=out, levels=levels)
 
 
 def labeled_matrix(qcube: QuantizedCube, gt: GroundTruth, bands=None) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, field, fields
 
 
@@ -29,7 +30,9 @@ def integer(value) -> int:
     and fractional or non-finite floats are rejected."""
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+    # numpy's float32 is a Real but not a float subclass: int() would truncate it
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral) \
+            and not float(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -67,15 +70,21 @@ def typed(cast, default=MISSING, **metadata):
     return field(default=default, metadata={"cast": cast, **metadata})
 
 
+def cast_value(value, cast, error, name: str):
+    """``cast(value)``; a failed cast raises ``error`` naming ``name``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"bad {name}: {exc}") from exc
+
+
 def cast_fields(record, error) -> None:
     """Coerce each field of ``record`` in place by its declared cast; a
     failed cast raises ``error``. Frozen dataclasses are written through
     object."""
     for f in fields(record):
-        try:
-            object.__setattr__(record, f.name, f.metadata["cast"](getattr(record, f.name)))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise error(f"bad {f.name}: {exc}") from exc
+        value = cast_value(getattr(record, f.name), f.metadata["cast"], error, f.name)
+        object.__setattr__(record, f.name, value)
 
 
 def read_json_object(path: str, error) -> dict:

@@ -90,12 +90,13 @@ def pair_series(x: DiscreteSeries, y: DiscreteSeries) -> DiscreteSeries:
     """Join two series into one Cartesian-product variable.
 
     Symbols combine as ``x * A_y + y``, fixed here so that independent
-    implementations reproduce results bit-exactly.
+    implementations reproduce results bit-exactly, and formed in int64,
+    since they overflow narrow symbols such as uint8 band rows.
     """
     if len(x) != len(y):
         raise DataError("series lengths differ")
     return DiscreteSeries(
-        symbols=x.symbols * y.alphabet + y.symbols,
+        symbols=np.asarray(x.symbols, dtype=np.int64) * y.alphabet + y.symbols,
         alphabet=x.alphabet * y.alphabet,
     )
 

@@ -87,6 +87,7 @@ def run_compare(
     if cube is None or gt is None:
         cube, gt = load_dataset(config)
     qcube = quantize_cube(cube, config.levels)
+    del cube  # not read again: drop the samples before selection and training
     split = classify.stratified_split(gt, fraction=config.fraction, seed=config.seed)
     outcomes = []
     for method in config.methods:

@@ -51,8 +51,8 @@ class SelectionState:
     """Working state of one greedy run; score functions read it, and
     ``select`` moves a band from ``remaining`` to ``selected``."""
 
-    matrix: np.ndarray  # (bands, n_labeled) quantized values, C-ordered
-    series: list[DiscreteSeries]  # one per row of the matrix
+    matrix: np.ndarray  # (bands, n_labeled) uint8 quantized values, C-ordered
+    series: list[DiscreteSeries]  # one per row of the matrix, sharing its memory
     labels: DiscreteSeries
     levels: int
     relevance: np.ndarray

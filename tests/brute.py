@@ -119,10 +119,12 @@ def greedy_reference(band_rows, labels, method, k, beta=0.5, threshold=-0.02, la
 
 
 # the one-pair count and estimators the stacked count and the row entropies
-# replace, kept verbatim
+# replace, kept verbatim except that hist2d widens its inputs to int64
 
 
 def hist2d(x, y, ax, ay):
+    # widened first: x * ay wraps in uint8
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
     flat = np.bincount(x * ay + y, minlength=ax * ay)
     return flat.reshape(ax, ay).astype(np.int64, copy=False)
 

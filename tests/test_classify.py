@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,8 +86,34 @@ class TestStratifiedSplit:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             stratified_split(grid_gt([4, 4]), fraction=0.5, seed=-1)
 
+    def test_fractional_seed_rejected(self):
+        # 1.5 ended in numpy's TypeError; an integral float is its integer
+        gt = grid_gt([6, 6])
+        with pytest.raises(ConfigError, match="bad seed"):
+            stratified_split(gt, fraction=0.5, seed=1.5)
+        with pytest.raises(ConfigError, match="bad seed"):
+            stratified_split(gt, fraction=0.5, seed=float("nan"))
+        a, b = stratified_split(gt, 0.5, seed=2.0), stratified_split(gt, 0.5, seed=2)
+        assert np.array_equal(a.train_idx, b.train_idx)
+
 
 class TestSvm:
+    def test_one_gram_at_a_time(self):
+        # 3 classes of 300 rows: each pair's Gram is 600 x 600 float64, and
+        # holding the last pair's while the next is built would double it
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(900, 4)) + np.repeat(np.arange(3.0), 300)[:, None]
+        y = np.repeat([1, 2, 3], 300)
+        gram = 600 * 600 * 8
+        train_svm(x[::30], y[::30], c=1.0, gamma=0.5)  # lazy imports happen untraced
+        tracemalloc.start()
+        try:
+            train_svm(x, y, c=1.0, gamma=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * gram
+
     def test_separable_clusters_zero_training_errors(self):
         x, y = two_clusters()
         model = train_svm(x, y, c=100.0, gamma=1.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,48 @@ class TestTypes:
         with pytest.raises(DataError):
             QuantizedCube(values=np.full((1, 2, 2), 7), levels=4)
 
+    def test_quantized_cube_rejects_float_values(self):
+        # 1.7 was truncated to 1
+        for value in (1.7, 1.0):
+            with pytest.raises(DataError, match="quantized values must be integers"):
+                QuantizedCube(values=np.full((1, 2, 2), value), levels=4)
+
+    def test_quantized_cube_stores_uint8(self):
+        q = QuantizedCube(values=np.arange(8).reshape(2, 2, 2) * 36, levels=256)
+        assert q.values.dtype == np.uint8
+        assert q.values.ravel().tolist() == [0, 36, 72, 108, 144, 180, 216, 252]
+        with pytest.raises(DataError, match="outside"):
+            QuantizedCube(values=np.full((1, 2, 2), 256), levels=256)  # not wrapped to 0
+        with pytest.raises(DataError, match="bad levels"):
+            QuantizedCube(values=np.full((1, 2, 2), 1), levels=2.5)
+
+    @pytest.mark.parametrize("dtype, stored", [
+        (np.float32, np.float32), (np.uint16, np.float32), (np.uint8, np.float32),
+        (np.float64, np.float64), (np.int64, np.float64), (np.int32, np.float64),
+    ])
+    def test_cube_keeps_float32_where_it_is_exact(self, dtype, stored):
+        values = np.arange(12, dtype=dtype).reshape(3, 2, 2)
+        cube = HyperCube(values=values)
+        assert cube.values.dtype == stored
+        assert np.array_equal(cube.values, values)
+        if dtype == stored:
+            assert cube.values is values  # no copy
+
+    def test_series_keeps_narrow_symbols_uncopied(self):
+        row = np.array([0, 3, 255], dtype=np.uint8)
+        assert DiscreteSeries(symbols=row, alphabet=256).symbols is row
+        assert DiscreteSeries(symbols=[0, 1], alphabet=2).symbols.dtype == np.int64
+        big = np.array([0, 1], dtype=np.uint64)  # int64 does not hold every uint64
+        assert DiscreteSeries(symbols=big, alphabet=2).symbols.dtype == np.int64
+
+    def test_series_rejects_non_integer_alphabet(self):
+        # 2.5 was kept and used as a histogram size
+        for alphabet in (2.5, np.float32(2.5), True, "two"):
+            with pytest.raises(DataError, match="bad alphabet"):
+                DiscreteSeries(symbols=[0, 1], alphabet=alphabet)
+        series = DiscreteSeries(symbols=[0, 1], alphabet=np.int64(2))
+        assert type(series.alphabet) is int and series.alphabet == 2
+
     def test_series_rejects_out_of_alphabet(self):
         with pytest.raises(DataError):
             DiscreteSeries(symbols=np.array([0, 3]), alphabet=3)
@@ -100,7 +144,7 @@ class TestQuantize:
         rng = np.random.default_rng(6)
         values = np.sort(rng.normal(size=(3, 1, 40)), axis=2)
         q = quantize_cube(HyperCube(values=values), levels=8)
-        assert (np.diff(q.values, axis=2) >= 0).all()
+        assert (np.diff(q.values.astype(np.int64), axis=2) >= 0).all()
 
     def test_nonconstant_bands_attain_both_endpoints(self):
         rng = np.random.default_rng(7)
@@ -130,8 +174,35 @@ class TestQuantize:
         with np.errstate(over="ignore", invalid="ignore"):
             expected = brute.quantize(values, levels)
             got = quantize_cube(HyperCube(values=values), levels=levels).values
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint8
         assert np.array_equal(got, expected)
+
+    def test_overflowing_band_casts_no_nan(self):
+        # its range overflows float64, so its scaled values are NaN; they are
+        # clipped to 0 in float, and the uint8 cast never sees them
+        cube = cube_from_bands([[-1.5e308, 1.5e308, 0.0, 1.5e308]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            q = quantize_cube(cube, levels=16)
+        assert q.values[0].tolist() == [[0, 0, 0, 0]]
+        assert not [w for w in caught if "cast" in str(w.message)]
+
+    def test_subnormal_span_reaches_the_top_level(self):
+        # (levels - 1) / 5e-324 is inf, so the maximum scales to inf; it
+        # clips to the top level (an int64 cast of inf was undefined)
+        cube = cube_from_bands([[0.0, 5e-324, 5e-324, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = quantize_cube(cube, levels=16)
+        assert q.values[0].tolist() == [[0, 15, 15, 0]]
+
+    def test_float32_cube_quantizes_as_its_float64_widening(self):
+        rng = np.random.default_rng(11)
+        values = (rng.normal(size=(5, 9, 8)) * 100.0).astype(np.float32)
+        values[2] = 7.5  # constant band
+        got = quantize_cube(HyperCube(values=values), levels=256).values
+        wide = quantize_cube(HyperCube(values=values.astype(np.float64)), levels=256).values
+        assert np.array_equal(got, wide)
+        assert np.array_equal(got, brute.quantize(values.astype(np.float64), 256))
 
     def test_levels_bounds(self):
         cube = cube_from_bands([[0.0, 1.0]])

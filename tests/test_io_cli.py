@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -13,9 +14,10 @@ import pytest
 
 from igbs import classify, cli, pipeline, raster
 from igbs.cli import main
-from igbs.datamodel import GroundTruth, HyperCube
+from igbs.datamodel import GroundTruth, HyperCube, quantize_cube
 from igbs.errors import ConfigError, DataError, MethodError, build_record, read_json_object
 from igbs.report import MethodOutcome, RunConfig, render_comparison, render_method_report
+from igbs.selection import init_state
 from igbs.synth import SynthSpec, generate_cube
 
 
@@ -52,6 +54,48 @@ class TestCubeFormat:
         values.astype("<u2").tofile(tmp_path / "ints.raw")
         loaded = raster.load_cube(str(tmp_path / "ints.hdr.json"))
         assert (loaded.values == values).all()
+
+    @staticmethod
+    def _write_raw_cube(tmp_path, values, dtype):
+        bands, rows, cols = values.shape
+        (tmp_path / "c.hdr.json").write_text(json.dumps(
+            {"rows": rows, "cols": cols, "bands": bands, "dtype": dtype}))
+        values.astype({"f32": "<f4", "u16": "<u2"}[dtype]).tofile(tmp_path / "c.raw")
+        return str(tmp_path / "c.hdr.json")
+
+    @pytest.mark.parametrize("dtype", ["f32", "u16"])
+    def test_samples_load_as_float32_and_levels_as_uint8(self, tmp_path, dtype):
+        values = np.arange(36, dtype=np.float64).reshape(3, 3, 4) * 7.0
+        cube = raster.load_cube(self._write_raw_cube(tmp_path, values, dtype))
+        assert cube.values.dtype == np.float32
+        assert np.array_equal(cube.values, values)  # exact
+        qcube = quantize_cube(cube, 16)
+        assert qcube.values.dtype == np.uint8
+        gt = GroundTruth(labels=np.array([[1, 0, 2, 2], [0, 1, 1, 2], [2, 2, 0, 1]]))
+        state = init_state(qcube, gt)
+        assert state.matrix.dtype == np.uint8
+        for series in state.series:
+            assert series.symbols.dtype == np.uint8
+            assert np.shares_memory(series.symbols, state.matrix)  # rows, not copies
+
+    @pytest.mark.parametrize("dtype", ["f32", "u16"])
+    def test_load_and_quantize_memory_is_bounded_by_the_cube(self, tmp_path, dtype):
+        # float64 samples and int64 levels would hold 16 B or more per sample
+        values = np.random.default_rng(12).normal(1000.0, 100.0, size=(60, 64, 64))
+        header = self._write_raw_cube(tmp_path, values, dtype)
+        n, plane = values.size, values[0].size
+        tracemalloc.start()
+        try:
+            qcube = quantize_cube(raster.load_cube(header), 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert qcube.values.nbytes == n
+        # the samples as read, their float32 copy unless they are f32, one
+        # byte per sample (the finite check's mask, then the levels) and four
+        # float64 planes
+        read = {"f32": 4, "u16": 2 + 4}[dtype]
+        assert peak < read * n + n + 4 * 8 * plane
 
     def test_truncated_raw_fails_closed(self, tmp_path):
         cube, _, _ = generate_cube(SynthSpec(rows=4, cols=4, bands=2, seed=0,

@@ -6,7 +6,7 @@ import pytest
 
 import brute
 from igbs import accel
-from igbs.datamodel import GroundTruth, QuantizedCube, label_series, quantize_cube
+from igbs.datamodel import DiscreteSeries, GroundTruth, QuantizedCube, label_series, quantize_cube
 from igbs.errors import ConfigError, DataError
 from igbs.infotheory import entropy, mutual_information, pair_series
 from igbs.selection import (
@@ -100,7 +100,7 @@ class TestEstimatedGt:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * qcube.values[0].nbytes
+        assert peak < 8 * 8 * qcube.rows * qcube.cols  # 8 int64 planes
         mean = qcube.values[[1, 4]].reshape(2, -1)[:, gt.index].sum(axis=0) / 2
         assert np.array_equal(est.symbols, np.floor(mean + 0.5))
 
@@ -561,3 +561,46 @@ class TestStackedStep:
         finally:
             tracemalloc.stop()
         assert peak < qcube.values.nbytes + 4 * block
+
+
+class TestUint8Levels:
+    """uint8 band rows at 256 levels count as their int64 widening: every
+    code ``x * A_y + y`` is formed in int64, since it wraps in uint8."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        qcube, gt = random_instance(np.random.default_rng(21), bands=7, n=400,
+                                    levels=256, classes=3)
+        state = init_state(qcube, gt)
+        assert state.matrix.dtype == np.uint8
+        wide = state.matrix.astype(np.int64)
+        wide_series = [DiscreteSeries(symbols=row, alphabet=256) for row in wide]
+        assert wide_series[0].symbols.dtype == np.int64
+        return qcube, gt, state, wide, wide_series
+
+    def test_counts_and_pairs(self, instance):
+        _, _, state, wide, wide_series = instance
+        for x in (0, 4):
+            others = [b for b in range(len(wide)) if b != x]
+            got = np.concatenate(list(accel.hist2d_rows(state.matrix[x],
+                                                        list(state.matrix[others]), 256, 256)))
+            want = [brute.hist2d(wide[x], wide[b], 256, 256) for b in others]
+            assert np.array_equal(got, np.stack(want))
+        for a, b in ((0, 1), (5, 2)):
+            narrow = pair_series(state.series[a], state.series[b])
+            pair = pair_series(wide_series[a], wide_series[b])
+            assert narrow.alphabet == pair.alphabet == 65536
+            assert pair.symbols.max() > 255
+            assert np.array_equal(narrow.symbols, pair.symbols)
+            mi = mutual_information(state.series[a], state.series[b])
+            assert mi.hex() == brute.mutual_information(wide_series[a], wide_series[b]).hex()
+            assert entropy(state.series[a], state.series[b]).hex() == entropy(pair).hex()
+
+    @pytest.mark.parametrize("method", ["MIFS", "MRMR", "MIBF", "IGBS"])
+    def test_greedy_matches_int64_rows(self, instance, method):
+        qcube, gt, state, wide, wide_series = instance
+        res = greedy_select(qcube, gt, method, k=5, threshold=-1.0)
+        selected, scores = brute.greedy_scores(wide_series, state.labels, wide, 256, method,
+                                               k=5, threshold=-1.0)
+        assert res.selected == selected and len(selected) == 5
+        assert [s.hex() for s in res.step_scores] == [s.hex() for s in scores]
