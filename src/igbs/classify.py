@@ -9,6 +9,7 @@ scaled to [0, 1].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,9 +68,21 @@ def stratified_split(
     )
 
 
+def _features(values, what: str) -> np.ndarray:
+    """``values`` as a C-ordered float64 (n, d) array with d >= 1 and every
+    entry finite; anything else raises DataError naming ``what``."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise DataError(f"{what} must be (n, d) with d >= 1, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise DataError(f"{what} must be finite")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class PairModel:
-    """One binary one-vs-one model; `positive` wins when the decision > 0."""
+    """One binary one-vs-one model; `positive` wins when the decision
+    ``rbf_kernel(x, sv_features, model.gamma) @ sv_coef + bias`` is > 0."""
 
     positive: int
     negative: int
@@ -77,13 +90,6 @@ class PairModel:
     sv_coef: np.ndarray  # alpha_i * y_i over the support vectors
     alphas: np.ndarray  # duals over the support vectors, in (0, C]
     bias: float
-    gamma: float
-
-    def decision(self, features: np.ndarray) -> np.ndarray:
-        k = accel.rbf_kernel(
-            np.ascontiguousarray(features, dtype=np.float64), self.sv_features, self.gamma
-        )
-        return k @ self.sv_coef + self.bias
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +114,10 @@ def train_svm(
     lowest index. A pair that fails to reach the KKT tolerance within
     ``DEFAULT_MAX_ITER`` steps raises MethodError naming the pair.
     """
-    features = np.ascontiguousarray(features, dtype=np.float64)
+    features = _features(features, "SVM features")
     labels = integers(labels, "SVM labels")
-    if features.ndim != 2 or features.shape[0] != labels.shape[0]:
+    if labels.shape != features.shape[:1]:
         raise DataError("features must be (n, d) with one label per row")
-    if not np.isfinite(features).all():
-        raise DataError("SVM features must be finite")
     classes = np.unique(labels)
     if classes.size < 2:
         raise DataError("training data must contain at least 2 classes")
@@ -123,33 +127,29 @@ def train_svm(
         raise ConfigError("c, gamma and tol must all be positive")
 
     pairs = []
-    for a_pos in range(classes.size):
-        for b_pos in range(a_pos + 1, classes.size):
-            ci, cj = int(classes[a_pos]), int(classes[b_pos])
-            mask = (labels == ci) | (labels == cj)
-            x = features[mask]
-            y = np.where(labels[mask] == ci, 1.0, -1.0)
-            kernel = accel.rbf_kernel(x, x, gamma)
-            alpha, bias, iters, gap = accel.smo_solve(
-                kernel, y, float(c), float(tol), DEFAULT_MAX_ITER
+    for ci, cj in itertools.combinations(classes.tolist(), 2):
+        mask = (labels == ci) | (labels == cj)
+        x = features[mask]
+        y = np.where(labels[mask] == ci, 1.0, -1.0)
+        kernel = accel.rbf_kernel(x, x, gamma)
+        alpha, bias, iters, gap = accel.smo_solve(
+            kernel, y, float(c), float(tol), DEFAULT_MAX_ITER
+        )
+        del kernel  # one Gram at a time: drop it before the next pair's
+        if not gap <= tol:  # a NaN gap has not converged either
+            raise MethodError(
+                f"SMO did not converge for class pair ({ci}, {cj}): "
+                f"gap {gap:.3e} after {iters} steps"
             )
-            del kernel  # one Gram at a time: drop it before the next pair's
-            if not gap <= tol:  # a NaN gap has not converged either
-                raise MethodError(
-                    f"SMO did not converge for class pair ({ci}, {cj}): "
-                    f"gap {gap:.3e} after {iters} steps"
-                )
-            sv = alpha > 0.0
-            pair = PairModel(
-                positive=ci,
-                negative=cj,
-                sv_features=np.ascontiguousarray(x[sv]),
-                sv_coef=alpha[sv] * y[sv],
-                alphas=alpha[sv],
-                bias=float(bias),
-                gamma=float(gamma),
-            )
-            pairs.append(pair)
+        sv = alpha > 0.0
+        pairs.append(PairModel(
+            positive=ci,
+            negative=cj,
+            sv_features=x[sv],
+            sv_coef=alpha[sv] * y[sv],
+            alphas=alpha[sv],
+            bias=float(bias),
+        ))
     return SvmModel(
         classes=classes, pairs=pairs, gamma=float(gamma), n_features=features.shape[1]
     )
@@ -157,18 +157,15 @@ def train_svm(
 
 def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
     """One-vs-one majority vote; vote ties go to the lowest class id."""
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.n_features:
+    features = _features(features, "SVM features")
+    if features.shape[1] != model.n_features:
         raise DataError(
-            f"feature dimension {features.shape[1] if features.ndim == 2 else '?'} "
-            f"does not match model ({model.n_features})"
+            f"feature dimension {features.shape[1]} does not match model ({model.n_features})"
         )
-    if not np.isfinite(features).all():
-        raise DataError("SVM features must be finite")
     votes = np.zeros((features.shape[0], model.classes.size), dtype=np.int64)
     col = {int(cls): i for i, cls in enumerate(model.classes)}
     for pair in model.pairs:
-        dec = pair.decision(features)
+        dec = accel.rbf_kernel(features, pair.sv_features, model.gamma) @ pair.sv_coef + pair.bias
         votes[dec > 0, col[pair.positive]] += 1
         votes[dec <= 0, col[pair.negative]] += 1
     return model.classes[np.argmax(votes, axis=1)]
@@ -179,17 +176,15 @@ def knn_predict(
 ) -> np.ndarray:
     """1-NN under Euclidean distance; distance ties go to the lowest train
     pixel index."""
-    train = np.ascontiguousarray(train_features, dtype=np.float64)
-    test = np.ascontiguousarray(test_features, dtype=np.float64)
+    train = _features(train_features, "1-NN train features")
+    test = _features(test_features, "1-NN test features")
     labels = integers(train_labels, "1-NN labels")
     if train.shape[0] == 0:
         raise DataError("1-NN needs a nonempty training set")
-    if train.ndim != 2 or test.ndim != 2 or train.shape[1] != test.shape[1]:
+    if train.shape[1] != test.shape[1]:
         raise DataError("train and test feature dimensions differ")
     if labels.shape != train.shape[:1]:
         raise DataError("1-NN needs one label per train row")
-    if not (np.isfinite(train).all() and np.isfinite(test).all()):
-        raise DataError("1-NN features must be finite")
     return labels[accel.nn1_index(train, test)]
 
 
@@ -231,8 +226,7 @@ def per_class_accuracy(cm: ConfusionMatrix) -> np.ndarray:
     """Producer's accuracy diag/row-sum; NaN for classes absent from test."""
     row = cm.counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
-        acc = np.where(row > 0, np.diag(cm.counts) / np.maximum(row, 1), np.nan)
-    return acc
+        return np.where(row > 0, np.diag(cm.counts) / np.maximum(row, 1), np.nan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,17 +254,10 @@ def evaluate(pred, truth, classes=None) -> EvalReport:
         classes = integers(classes, "classes")
         if classes.ndim != 1 or (np.diff(classes) <= 0).any():
             raise DataError("classes must be a strictly increasing 1-D list")
-    ti = np.searchsorted(classes, truth)
-    pi = np.searchsorted(classes, pred)
-    if (
-        (ti >= classes.size).any()
-        or (pi >= classes.size).any()
-        or (classes[ti] != truth).any()
-        or (classes[pi] != pred).any()
-    ):
-        raise DataError("labels outside the declared class list")
-    counts = np.zeros((classes.size, classes.size), dtype=np.int64)
-    np.add.at(counts, (ti, pi), 1)
+        if not np.isin(np.concatenate([truth, pred]), classes).all():
+            raise DataError("labels outside the declared class list")
+    cell = np.searchsorted(classes, truth) * classes.size + np.searchsorted(classes, pred)
+    counts = np.bincount(cell, minlength=classes.size**2).reshape(classes.size, -1)
     cm = ConfusionMatrix(classes=classes, counts=counts)
     return EvalReport(
         matrix=cm,

@@ -18,7 +18,7 @@ from dataclasses import fields
 from . import raster
 from .datamodel import quantize_cube
 from .errors import ConfigError, DataError, MethodError, build_record
-from .errors import integer, read_json_object, sequence
+from .errors import cast_value, integer, read_json_object, sequence
 from .pipeline import load_dataset, run_compare
 from .report import RunConfig
 from .selection import METHODS, build_estimated_gt, greedy_select
@@ -107,8 +107,10 @@ def cmd_compare(args) -> int:
 def cmd_synth(args) -> int:
     spec = _record(SynthSpec, args)
     cube, gt, meta = generate_cube(spec)
-    header_path, raw_path = raster.save_cube(cube, args.out)
+    # the ground truth first: it alone can fail on the generated data (u16
+    # range), and nothing is written then
     gt_path = raster.save_gt(gt, args.out + ".gt.raw")
+    header_path, raw_path = raster.save_cube(cube, args.out)
     meta_path = args.out + ".meta.json"
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -126,10 +128,7 @@ def cmd_render(args) -> int:
     else:
         gt = raster.load_gt(config.gt)
     if args.bands is not None:
-        try:
-            bands = sequence(integer)(args.bands)
-        except ValueError as exc:
-            raise ConfigError(f"bad bands: {exc}") from exc
+        bands = cast_value(args.bands, sequence(integer), ConfigError, "bands")
         est = build_estimated_gt(quantize_cube(cube, config.levels), gt, bands)
         grid = raster.series_to_grid(est.symbols, gt, offset=1)
     else:

@@ -210,10 +210,10 @@ def labeled_matrix(qcube: QuantizedCube, gt: GroundTruth, bands=None) -> np.ndar
         )
     planes = qcube.values.reshape(qcube.bands, -1)
     if bands is not None:
-        bands = list(bands)
-        bad = [b for b in bands if not 0 <= b < qcube.bands]
-        if bad:
-            raise DataError(f"bands out of range [0, {qcube.bands}): {bad}")
+        bands = integers(list(bands), "bands")
+        bad = bands[(bands < 0) | (bands >= qcube.bands)]
+        if bad.size:
+            raise DataError(f"bands out of range [0, {qcube.bands}): {bad.tolist()}")
         planes = planes[bands]
     # one copy; values[:, mask] is the same array in Fortran order
     return np.take(planes, gt.index, axis=1)

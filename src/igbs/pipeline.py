@@ -45,36 +45,26 @@ def run_method(
 ) -> MethodOutcome:
     """Run one method end to end; returns its selection, evaluation and the
     full-scene predicted labels (over all labeled pixels)."""
-    outcome = MethodOutcome(method=method)
-    selection = greedy_select(
-        qcube,
-        gt,
-        method,
-        config.k,
-        beta=config.beta,
-        threshold=config.threshold,
-        lam=config.lam,
-    )
-    outcome.selection = selection
+    selection = greedy_select(qcube, gt, method, config.k,
+                              beta=config.beta, threshold=config.threshold, lam=config.lam)
     features = band_features(qcube, gt, selection.selected)
     labels = label_series(gt).symbols
     train_x, train_y = features[split.train_idx], labels[split.train_idx]
-    test_y = labels[split.test_idx]
-
+    gamma = None
     if config.classifier == "svm":
         model = classify.train_svm(
             train_x, train_y, c=config.svm_c, gamma=config.svm_gamma, tol=config.svm_tol
         )
-        outcome.resolved_gamma = model.gamma
+        gamma = model.gamma
         full_pred = classify.predict(model, features)
     else:
         full_pred = classify.knn_predict(train_x, train_y, features)
     # the test pixels are a subset of the labeled scene: predict once, slice
-    test_pred = full_pred[split.test_idx]
-
-    outcome.report = classify.evaluate(test_pred, test_y, classes=gt.classes)
-    outcome.prediction = full_pred
-    return outcome
+    report = classify.evaluate(
+        full_pred[split.test_idx], labels[split.test_idx], classes=gt.classes
+    )
+    return MethodOutcome(method=method, selection=selection, report=report,
+                         resolved_gamma=gamma, prediction=full_pred)
 
 
 def run_compare(

@@ -36,7 +36,7 @@ from .datamodel import (
     labeled_matrix,
     round_half_up,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, cast_value, integer
 from .infotheory import entropy, joint_entropies, mutual_information, pair_series
 
 METHODS = ("MIM", "MIFS", "MRMR", "MIBF", "IGBS")
@@ -222,10 +222,11 @@ def greedy_select(
     method = method.upper()
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
+    k = cast_value(k, integer, ConfigError, "k")
     if not 1 <= k <= qcube.bands:
         raise ConfigError(f"k must be in [1, {qcube.bands}], got {k}")
-    if not all(v == v for v in (beta, threshold, lam)):  # NaN alone is unequal to itself
-        raise ConfigError(f"NaN among beta={beta}, threshold={threshold}, lambda={lam}")
+    if not np.isfinite([beta, threshold, lam]).all():
+        raise ConfigError(f"NaN or infinity among beta={beta}, threshold={threshold}, lambda={lam}")
 
     state = init_state(qcube, gt)
     first = int(np.argmax(state.relevance))

@@ -194,6 +194,11 @@ class TestSvm:
         with pytest.raises(ConfigError, match="positive"):
             train_svm(x, y, **{param: value})
 
+    def test_zero_width_features_rejected(self):
+        # gamma = 1/d ended in ZeroDivisionError
+        with pytest.raises(DataError, match=r"SVM features must be \(n, d\) with d >= 1"):
+            train_svm(np.zeros((4, 0)), np.array([1, 1, 2, 2]))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_training_features_rejected(self, value):
         x, y = two_clusters()
@@ -221,7 +226,8 @@ class TestPredictRules:
         expected = pair.positive if pair.bias > 0 else pair.negative
         assert predict(model, far)[0] == expected
         # the kernel really has vanished at that distance
-        assert pair.decision(far)[0] == pytest.approx(pair.bias, abs=1e-12)
+        kernel_term = accel.rbf_kernel(far, pair.sv_features, model.gamma) @ pair.sv_coef
+        assert kernel_term[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_vote_tie_goes_to_lowest_class(self):
         # bias-only pairs (no support vectors) produce a 2-2-2-0 vote split
@@ -234,7 +240,6 @@ class TestPredictRules:
                 sv_coef=np.zeros(0),
                 alphas=np.zeros(0),
                 bias=bias,
-                gamma=1.0,
             )
 
         model = SvmModel(
@@ -257,6 +262,11 @@ class TestPredictRules:
         model = train_svm(x, y)
         with pytest.raises(DataError):
             predict(model, np.zeros((3, 5)))
+
+    def test_zero_width_features_rejected(self):
+        model = train_svm(*two_clusters())
+        with pytest.raises(DataError, match=r"SVM features must be \(n, d\) with d >= 1"):
+            predict(model, np.zeros((3, 0)))
 
 
 class TestKnn:
@@ -311,6 +321,11 @@ class TestKnn:
         # raised IndexError
         with pytest.raises(DataError, match="one label per train row"):
             knn_predict(np.zeros((3, 2)), np.array(labels), np.ones((2, 2)))
+
+    def test_zero_width_features_rejected(self):
+        # every query's nearest neighbour was train row 0
+        with pytest.raises(DataError, match=r"train features must be \(n, d\) with d >= 1"):
+            knn_predict(np.zeros((3, 0)), np.array([1, 2, 3]), np.zeros((2, 0)))
 
     @pytest.mark.parametrize("side", ["train", "test"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -574,6 +589,11 @@ class TestMetrics:
         # evaluate([1.5, 2.0], [1, 2]).oa was 1.0
         with pytest.raises(DataError, match="labels must be integers"):
             evaluate(pred, truth)
+
+    @pytest.mark.parametrize("pred, truth", [([1, 3], [1, 2]), ([1, 2], [0, 2])])
+    def test_labels_outside_the_class_list_rejected(self, pred, truth):
+        with pytest.raises(DataError, match="outside the declared class list"):
+            evaluate(pred, truth, classes=[1, 2])
 
     # [2, 1] was reported as labels outside the list, [1, 1, 2] gave a 3x3
     # matrix with a phantom row, [[1]] ended in numpy's ValueError

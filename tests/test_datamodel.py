@@ -281,6 +281,19 @@ class TestLabeledSeries:
         with pytest.raises(DataError, match="out of range"):
             labeled_matrix(q, gt, bands)
 
+    @pytest.mark.parametrize("bands", [[1.5], [0.0, 1.0], [True]])
+    def test_non_integer_bands_rejected(self, bands):
+        # [1.5] ended in numpy's IndexError
+        q = QuantizedCube(values=np.zeros((5, 2, 2), dtype=int), levels=2)
+        gt = GroundTruth(labels=np.array([[1, 2], [0, 1]]))
+        with pytest.raises(DataError, match="bands must be integers"):
+            labeled_matrix(q, gt, bands)
+
+    def test_no_bands_give_no_rows(self):
+        q = QuantizedCube(values=np.zeros((5, 2, 2), dtype=int), levels=2)
+        gt = GroundTruth(labels=np.array([[1, 2], [0, 1]]))
+        assert labeled_matrix(q, gt, []).shape == (0, 3)
+
     def test_geometry_mismatch(self):
         q = QuantizedCube(values=np.zeros((1, 2, 2), dtype=int), levels=2)
         gt = GroundTruth(labels=np.array([[1, 2, 1], [0, 0, 0]]))

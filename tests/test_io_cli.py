@@ -731,6 +731,16 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, exc)
     assert "Traceback" not in err
 
 
+def test_synth_labels_beyond_u16_write_nothing(tmp_path, capsys):
+    # the cube was written before the ground truth failed its u16 check
+    argv = ["synth", "--classes", "70000", "--rows", "300", "--cols", "300", "--bands", "1",
+            "--informative", "0", "--out", str(tmp_path / "big")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # The run and synth flags are generated from the record fields; these pin
 # their names.
 _RUN_FLAGS = {

@@ -373,6 +373,22 @@ class TestGreedy:
         with pytest.raises(ConfigError, match="NaN"):
             greedy_select(qcube, gt, method, k=3, **{param: float("nan")})
 
+    @pytest.mark.parametrize("method, param", [("MIFS", "beta"), ("IGBS", "lam"),
+                                               ("MIBF", "threshold")])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_weight_rejected(self, method, param, value):
+        # beta=inf made a step score NaN, with numpy's RuntimeWarning
+        qcube, gt = random_instance(np.random.default_rng(4), bands=6, n=64)
+        with pytest.raises(ConfigError, match="infinity"):
+            greedy_select(qcube, gt, method, k=3, **{param: value})
+
+    @pytest.mark.parametrize("k", [2.5, True, float("nan")])
+    def test_non_integer_k_rejected(self, k):
+        # k=2.5 selected 3 bands
+        qcube, gt = random_instance(np.random.default_rng(4), bands=6, n=64)
+        with pytest.raises(ConfigError, match="bad k"):
+            greedy_select(qcube, gt, "MIM", k=k)
+
 
 # float.hex() of every step score, and the picks, of a k=8 run of each method
 # on a 64x64x30, 5-class synthetic scene (4,096 labeled pixels, so a greedy
