@@ -16,11 +16,10 @@ import sys
 from dataclasses import fields
 
 from . import raster
-from .datamodel import quantize_cube
 from .errors import ConfigError, DataError, MethodError, build_record
 from .errors import cast_value, integer, read_json_object, sequence
 from .pipeline import load_dataset, run_compare
-from .report import RunConfig
+from .report import RunConfig, selection_lines
 from .selection import METHODS, build_estimated_gt, greedy_select
 from .synth import SynthSpec, generate_cube
 
@@ -65,26 +64,18 @@ def _one_method(args) -> RunConfig:
 
 def cmd_select(args) -> int:
     config = _one_method(args)
-    cube, gt = load_dataset(config)
-    qcube = quantize_cube(cube, config.levels)
-    del cube  # not read again: drop the samples before selection
+    qcube, gt = load_dataset(config)
     result = greedy_select(
         qcube, gt, config.methods[0], config.k,
         beta=config.beta, threshold=config.threshold, lam=config.lam,
     )
-    lines = [
-        f"method = {result.method}",
-        "selected_bands = " + " ".join(str(b) for b in result.selected),
-        "step_scores = " + " ".join(f"{s:.6f}" for s in result.step_scores),
-    ]
-    print("\n".join(lines))
+    print("\n".join([f"method = {result.method}", *selection_lines(result)]))
     return 0
 
 
 def cmd_classify(args) -> int:
     config = _one_method(args)
-    outcomes = run_compare(config)
-    outcome = outcomes[0]
+    outcome = run_compare(config)[0]
     if outcome.error is not None:
         print(f"{outcome.method}: failed: {outcome.error}", file=sys.stderr)
         return 4
@@ -121,18 +112,19 @@ def cmd_synth(args) -> int:
 
 def cmd_render(args) -> int:
     config = _record(RunConfig, args)
-    if args.bands is not None and not config.cube:
-        raise ConfigError("--bands needs --cube to build the estimated map")
-    if config.cube:
-        cube, gt = load_dataset(config)
-    else:
-        gt = raster.load_gt(config.gt)
     if args.bands is not None:
+        if not config.cube:
+            raise ConfigError("--bands needs --cube to build the estimated map")
         bands = cast_value(args.bands, sequence(integer), ConfigError, "bands")
-        est = build_estimated_gt(quantize_cube(cube, config.levels), gt, bands)
+        qcube, gt = load_dataset(config)
+        est = build_estimated_gt(qcube, gt, bands)
         grid = raster.series_to_grid(est.symbols, gt, offset=1)
     else:
-        grid = gt.labels
+        rows = cols = None
+        if config.cube:  # the cube lends the ground truth its geometry only
+            header = raster.read_header(config.cube)
+            rows, cols = header.rows, header.cols
+        grid = raster.load_gt(config.gt, rows=rows, cols=cols).labels
     raster.export_map(grid, config.out)
     print(f"wrote {config.out}")
     return 0

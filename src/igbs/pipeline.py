@@ -1,5 +1,6 @@
-"""End-to-end orchestration: select -> split -> train -> predict -> evaluate,
-for one method or a whole comparison run.
+"""End-to-end orchestration: load and quantize (once per run, in
+``load_dataset``) -> select -> split -> train -> predict -> evaluate, for one
+method or a whole comparison run.
 
 A method that fails on its data or in its solver is recorded as failed in its
 report and in the comparison table, and the remaining methods still run; a
@@ -21,12 +22,15 @@ from .report import MethodOutcome, RunConfig, render_comparison, render_method_r
 from .selection import greedy_select
 
 
-def load_dataset(config: RunConfig) -> tuple[HyperCube, GroundTruth]:
+def load_dataset(config: RunConfig) -> tuple[QuantizedCube, GroundTruth]:
+    """The configured cube, quantized to ``config.levels`` (its float samples
+    are dropped on return), and its ground truth."""
     if not config.cube or not config.gt:
         raise ConfigError("cube and gt paths are required")
-    cube = raster.load_cube(raster.cube_header_path(config.cube))
+    # by header path, the form the benchmark's tracer sizes the cube files from
+    cube = raster.load_cube(raster.cube_paths(config.cube)[0])
     gt = raster.load_gt(config.gt, rows=cube.rows, cols=cube.cols)
-    return cube, gt
+    return quantize_cube(cube, config.levels), gt
 
 
 def band_features(qcube: QuantizedCube, gt: GroundTruth, bands) -> np.ndarray:
@@ -75,9 +79,9 @@ def run_compare(
     """Run every configured method and write reports, maps and the
     comparison table under ``config.out``."""
     if cube is None or gt is None:
-        cube, gt = load_dataset(config)
-    qcube = quantize_cube(cube, config.levels)
-    del cube  # not read again: drop the samples before selection and training
+        qcube, gt = load_dataset(config)
+    else:
+        qcube = quantize_cube(cube, config.levels)
     split = classify.stratified_split(gt, fraction=config.fraction, seed=config.seed)
     outcomes = []
     for method in config.methods:

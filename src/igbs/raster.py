@@ -2,7 +2,9 @@
 raw/CSV ground-truth grids, and P6 portable-pixmap class maps.
 
 A cube lives in two files: ``<name>.hdr.json`` describing the geometry and
-``<name>.raw`` holding the samples band-sequentially, little-endian.
+``<name>.raw`` holding the samples band-sequentially, little-endian; cube
+readers and writers take the base path or the header path, and ``cube_paths``
+alone forms the two names.
 Ground truth is a row-major little-endian u16 grid (``<name>.gt.raw``) or a
 plain CSV grid. All loaders fail closed: a size mismatch never yields a
 partial raster.
@@ -55,9 +57,11 @@ class CubeHeader:
             raise DataError(f"unsupported byte order {self.byte_order!r}")
 
 
-def cube_header_path(path: str) -> str:
-    """The ``.hdr.json`` header for a cube given by base path or header path."""
-    return path if path.endswith(".hdr.json") else path + ".hdr.json"
+def cube_paths(path: str) -> tuple[str, str]:
+    """The ``(<base>.hdr.json, <base>.raw)`` files of a cube given by base
+    path or header path."""
+    base = path.removesuffix(".hdr.json")
+    return base + ".hdr.json", base + ".raw"
 
 
 def _read_raw(path: str, dtype: str, shape: tuple) -> np.ndarray:
@@ -76,11 +80,15 @@ def _read_raw(path: str, dtype: str, shape: tuple) -> np.ndarray:
     return np.fromfile(path, dtype=_DTYPES[dtype]).reshape(shape)
 
 
-def load_cube(header_path: str) -> HyperCube:
+def read_header(path: str) -> CubeHeader:
+    """The checked header of the cube at ``path``; reads no samples."""
+    return build_record(CubeHeader, read_json_object(cube_paths(path)[0], DataError), DataError)
+
+
+def load_cube(path: str) -> HyperCube:
     """Decode a band-sequential cube; u16 samples widen to float."""
-    header = build_record(CubeHeader, read_json_object(header_path, DataError), DataError)
-    raw = _read_raw(header_path[: -len(".hdr.json")] + ".raw", header.dtype,
-                    (header.bands, header.rows, header.cols))
+    header = read_header(path)
+    raw = _read_raw(cube_paths(path)[1], header.dtype, (header.bands, header.rows, header.cols))
     return HyperCube(values=raw)
 
 
@@ -88,8 +96,7 @@ def save_cube(cube: HyperCube, base_path: str) -> tuple[str, str]:
     """Write ``<base>.hdr.json`` + ``<base>.raw`` as f32; returns the two
     paths."""
     header = CubeHeader(rows=cube.rows, cols=cube.cols, bands=cube.bands)
-    header_path = base_path + ".hdr.json"
-    raw_path = base_path + ".raw"
+    header_path, raw_path = cube_paths(base_path)
     with open(header_path, "w", encoding="utf-8") as fh:
         json.dump(header.__dict__, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -91,10 +91,9 @@ class RunConfig:
             for line in fh:
                 if line.startswith("table ="):
                     break
-                if "=" not in line:
-                    continue
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key, eq, value = line.partition("=")
+                if eq:
+                    values[key.strip()] = value.strip()
         if "method" not in values:
             raise ConfigError(f"{path} does not look like a method report")
         raw = {}
@@ -119,6 +118,17 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
+
+
+def _percent(share) -> str:
+    """A share as a percent cell; a class with no test pixel has none."""
+    return "undefined" if np.isnan(share) else f"{100 * share:.2f}"
+
+
+def selection_lines(sel: SelectionResult) -> list[str]:
+    """A selection's lines of a method report, which ``select`` prints too."""
+    return ["selected_bands = " + " ".join(map(str, sel.selected)),
+            "step_scores = " + " ".join(map(_fmt, sel.step_scores))]
 
 
 def _reported():
@@ -152,17 +162,14 @@ def render_method_report(config: RunConfig, outcome: MethodOutcome, bands_total:
     lines.append("status = ok")
     if outcome.resolved_gamma is not None:
         lines.append(f"svm_gamma_resolved = {_fmt(outcome.resolved_gamma)}")
-    lines.append("selected_bands = " + " ".join(str(b) for b in sel.selected))
-    lines.append("step_scores = " + " ".join(_fmt(s) for s in sel.step_scores))
-    lines.append(f"oa_percent = {100 * rep.oa:.2f}")
-    lines.append(f"kappa_percent = {100 * rep.kappa:.2f}")
+    lines += selection_lines(sel)
+    lines.append(f"oa_percent = {_percent(rep.oa)}")
+    lines.append(f"kappa_percent = {_percent(rep.kappa)}")
     lines.append("table = per_class")
     lines.append("class n_test accuracy_percent")
     row_totals = rep.matrix.counts.sum(axis=1)
     for idx, cls in enumerate(rep.matrix.classes):
-        acc = rep.per_class[idx]
-        cell = "undefined" if np.isnan(acc) else f"{100 * acc:.2f}"
-        lines.append(f"{int(cls)} {int(row_totals[idx])} {cell}")
+        lines.append(f"{int(cls)} {int(row_totals[idx])} {_percent(rep.per_class[idx])}")
     lines.append("end = per_class")
     lines.append("table = confusion")
     for row in rep.matrix.counts:
@@ -179,29 +186,17 @@ def render_comparison(config: RunConfig, outcomes: list, classes) -> str:
         f"{key}={value}" for key, value in _report_items(config, "")
         if key not in ("method", "cube", "gt")
     )
-    name_width = max(12, max((len(str(int(c))) for c in classes), default=1))
+    labels = [str(int(cls)) for cls in classes] + ["Kappa(%)", "OA(%)"]
+    name_width = max(12, *map(len, labels))
     col_width = 10
 
     def row(label, cells):
-        out = f"{label:<{name_width}}"
-        for cell in cells:
-            out += f"{cell:>{col_width}}"
-        return out
+        return f"{label:<{name_width}}" + "".join(f"{cell:>{col_width}}" for cell in cells)
 
+    # every report's classes are ``classes``: row ``pos`` reads ``per_class[pos]``
+    columns = [["failed"] * len(labels) if o.error is not None
+               else [_percent(v) for v in (*o.report.per_class, o.report.kappa, o.report.oa)]
+               for o in outcomes]
     lines = [params, row("class", [o.method for o in outcomes])]
-    for pos, cls in enumerate(classes):
-        cells = []
-        for o in outcomes:
-            if o.error is not None:
-                cells.append("failed")
-                continue
-            idx = list(o.report.matrix.classes).index(cls)
-            acc = o.report.per_class[idx]
-            cells.append("undefined" if np.isnan(acc) else f"{100 * acc:.2f}")
-        lines.append(row(str(int(cls)), cells))
-    for label, metric in (("Kappa(%)", "kappa"), ("OA(%)", "oa")):
-        lines.append(row(label, [
-            "failed" if o.error is not None else f"{100 * getattr(o.report, metric):.2f}"
-            for o in outcomes
-        ]))
+    lines += [row(label, [col[pos] for col in columns]) for pos, label in enumerate(labels)]
     return "\n".join(lines) + "\n"

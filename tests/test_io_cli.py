@@ -108,8 +108,15 @@ class TestCubeFormat:
             raster.load_cube(base + ".hdr.json")
 
     def test_header_path_resolves_base_and_header(self):
-        assert raster.cube_header_path("d/scene") == "d/scene.hdr.json"
-        assert raster.cube_header_path("d/scene.hdr.json") == "d/scene.hdr.json"
+        both = ("d/scene.hdr.json", "d/scene.raw")
+        assert raster.cube_paths("d/scene") == both
+        assert raster.cube_paths("d/scene.hdr.json") == both
+
+    def test_load_cube_takes_base_or_header_path(self, small_dataset):
+        base = small_dataset[0]
+        by_base, by_header = raster.load_cube(base), raster.load_cube(base + ".hdr.json")
+        assert by_base.values.dtype == by_header.values.dtype
+        assert np.array_equal(by_base.values, by_header.values)
 
     def test_unknown_dtype_rejected(self, tmp_path):
         path = tmp_path / "bad.hdr.json"
@@ -432,6 +439,38 @@ def test_render_output_bytes_are_fixed(small_dataset, tmp_path, capsys):
     assert digests == _RENDER_GOLDEN
 
 
+def test_render_gt_map_reads_only_the_cube_header(small_dataset, tmp_path, capsys):
+    # the cube lends the ground truth its geometry, and its samples are unused
+    base = small_dataset[0]
+    os.remove(base + ".raw")
+    path = tmp_path / "m.ppm"
+    assert main(["render", "--cube", base, "--gt", base + ".gt.raw", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _RENDER_GOLDEN["gt"]
+
+
+def test_render_bands_without_cube_exits_2_with_one_line(small_dataset, tmp_path, capsys):
+    base = small_dataset[0]
+    path = tmp_path / "m.ppm"
+    argv = ["render", "--bands", "1", "--gt", base + ".gt.raw", "--out", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_select_prints_the_report_selection_lines(small_dataset, tmp_path, capsys):
+    base = small_dataset[0]
+    flags = ["--method", "MRMR", "--cube", base, "--gt", base + ".gt.raw", "--k", "4"]
+    assert main(["select", *flags]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "run"
+    assert main(["classify", *flags, "--classifier", "1nn", "--out", str(out)]) == 0
+    report = (out / "MRMR.report.txt").read_text().splitlines()
+    for key in ("selected_bands", "step_scores"):
+        lines = [ln for ln in printed if ln.startswith(key + " = ")]
+        assert len(lines) == 1 and lines[0] in report, key
+
+
 # sha256 of what `compare --methods MIM --classifier 1nn` writes on a 4-level
 # scene where 178 of the 200 test pixels have more than one nearest train
 # pixel, so any change to how 1-NN distances are computed or tied shows here
@@ -672,7 +711,8 @@ def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, co
     err = capsys.readouterr().err
     assert err.strip() and err.count("\n") == 1
     assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    # synth writes <out>.hdr.json, <out>.raw, ... and never <out> itself
+    assert not list(tmp_path.glob("out*"))
 
 
 # Each header text once ended in a traceback or was silently accepted.
