@@ -12,14 +12,17 @@ determinism paragraph).
 ``nn1_index`` screens with one matrix product per block of query rows and
 computes that exact distance expression only for the few train rows the
 screen cannot rule out, so its answer is the one the plain broadcast gives.
-``smo_solve`` tracks its working set in two vectors whose entries change
-only at the two indices a step moves, and ``rbf_kernel`` forms everything
-after the matrix product in place; both reproduce, bit for bit, the
-whole-array forms kept in ``tests/brute.py``: the same duals, bias, step
-count and gap, and the same kernel values. ``hist2d_rows`` counts one
-series against a stack of rows with one ``np.bincount`` per block of
-MI_BLOCK symbols; ``hist2d`` is its one-row case, and integer counts equal
-the one-pair counts exactly.
+``rbf_kernel`` forms everything after the matrix product in place, and
+``smo_solve`` takes a pair's features, not a kernel: it forms the same
+product and turns a row of it into kernel values only on the step that
+first reads that row, so the entries it reads equal ``rbf_kernel(x, x,
+gamma)``'s and the rows it never reads cost no ``exp``. It tracks its
+working set in two vectors whose entries change only at the two indices a
+step moves. Both reproduce, bit for bit, the whole-array forms kept in
+``tests/brute.py``: the same duals, bias, step count and gap, and the same
+kernel values. ``hist2d_rows`` counts one series against a stack of rows
+with one ``np.bincount`` per block of MI_BLOCK symbols; ``hist2d`` is its
+one-row case, and integer counts equal the one-pair counts exactly.
 """
 
 from __future__ import annotations
@@ -63,12 +66,29 @@ def hist2d(x, y, ax, ay):
 RBF_BLOCK = 32_768
 
 
+def _rbf_rows(block, aa, bb, gamma, sq):
+    """Turn products ``a.b`` into kernel values in place, row by row.
+
+    ``block`` holds rows of the product ``a @ b.T``, ``aa`` the matching
+    entries of |a|^2, ``bb`` all of |b|^2, and ``sq`` is scratch of
+    ``block``'s shape. The sum and its association are the whole-array
+    form's, and every step works entry by entry, so a row gets the same bits
+    whichever block it is formed in.
+    """
+    np.add(aa[:, None], bb, out=sq)
+    block *= -2.0  # exact, so sq + block is sq - 2 a.b
+    block += sq
+    np.clip(block, 0.0, None, out=block)  # tiny negative round-off
+    block *= -gamma
+    np.exp(block, out=block)
+
+
 def rbf_kernel(a, b, gamma):
     """exp(-gamma * max(0, (|a|^2 + |b|^2) - 2 a.b)) for every row pair.
 
     ``a @ b.T`` stays one product (numpy hands ``a @ a.T`` to SYRK, whose
-    bits differ from GEMM's), and the rest is formed in place in it, one row
-    block at a time, with the sum and its association unchanged.
+    bits differ from GEMM's), and ``_rbf_rows`` forms the rest in place in
+    it, one row block at a time.
     """
     aa = np.einsum("ij,ij->i", a, a)
     bb = aa if b is a else np.einsum("ij,ij->i", b, b)
@@ -77,13 +97,7 @@ def rbf_kernel(a, b, gamma):
     norms = np.empty((min(step, out.shape[0]), out.shape[1]))
     for s in range(0, out.shape[0], step):
         block = out[s : s + step]
-        sq = norms[: block.shape[0]]
-        np.add(aa[s : s + step, None], bb, out=sq)
-        block *= -2.0  # exact, so sq + block is sq - 2 a.b
-        block += sq
-        np.clip(block, 0.0, None, out=block)  # tiny negative round-off
-        block *= -gamma
-        np.exp(block, out=block)
+        _rbf_rows(block, aa[s : s + step], bb, gamma, norms[: block.shape[0]])
     return out
 
 
@@ -139,11 +153,18 @@ def nn1_index(train, test):
     return out
 
 
-def smo_solve(kernel, y, c, tol, max_steps):
-    """Maximal-violating-pair SMO over a precomputed kernel.
+def smo_solve(x, y, gamma, c, tol, max_steps):
+    """Maximal-violating-pair SMO on the RBF kernel of the rows of ``x``.
 
-    Returns the duals, the bias, the step count and the final KKT gap. Only
-    alpha_i and alpha_j move per step, so the index sets are kept as
+    Returns the duals, the bias, the step count and the final KKT gap. The
+    kernel starts as the one product ``x @ x.T`` that ``rbf_kernel(x, x,
+    gamma)`` starts from, and row t becomes kernel values, in place, the
+    first time the working set picks t. A step reads only rows i and j,
+    eta's three entries among them, so every entry read equals
+    ``rbf_kernel(x, x, gamma)``'s bit for bit, and a row never picked is
+    never exponentiated.
+
+    Only alpha_i and alpha_j move per step, so the index sets are kept as
     ``yup`` (y where alpha may move up, else -inf) and ``ylow`` (y where it
     may move down, else +inf) and two entries of each are rewritten per
     step; ``yup - u`` is then the gradient masked to the up set, and an
@@ -151,9 +172,12 @@ def smo_solve(kernel, y, c, tol, max_steps):
     round as numpy's float64 scalars do.
     """
     n = y.shape[0]
+    xx = np.einsum("ij,ij->i", x, x)
+    kernel = x @ x.T
+    formed = [False] * n
+    sq = np.empty((1, n))
     ys = y.tolist()
     alpha = [0.0] * n
-    diag = kernel.diagonal().tolist()
     pos = y > 0.0
     yup = np.where(pos & (0.0 < c), y, -np.inf)  # every alpha starts at 0
     ylow = np.where(~pos & (0.0 < c), y, np.inf)
@@ -173,7 +197,11 @@ def smo_solve(kernel, y, c, tol, max_steps):
         m_val, big_m = top, bottom
         if m_val - big_m <= tol:
             break
-        eta = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
+        for t in (i, j):
+            if not formed[t]:
+                _rbf_rows(kernel[t : t + 1], xx[t : t + 1], xx, gamma, sq)
+                formed[t] = True
+        eta = kernel.item(i, i) + kernel.item(j, j) - 2.0 * kernel.item(i, j)
         if eta <= 0.0:
             eta = 1e-12
         # move along alpha_j += d, alpha_i -= y_i y_j d

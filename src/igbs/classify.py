@@ -123,19 +123,16 @@ def train_svm(
         raise DataError("training data must contain at least 2 classes")
     if gamma is None:
         gamma = 1.0 / features.shape[1]
-    if not (c > 0 and gamma > 0 and tol > 0):  # NaN fails too
-        raise ConfigError("c, gamma and tol must all be positive")
+    c, gamma, tol = float(c), float(gamma), float(tol)
+    if not all(0.0 < v < math.inf for v in (c, gamma, tol)):  # NaN fails too
+        raise ConfigError("c, gamma and tol must all be finite and positive")
 
     pairs = []
     for ci, cj in itertools.combinations(classes.tolist(), 2):
         mask = (labels == ci) | (labels == cj)
         x = features[mask]
         y = np.where(labels[mask] == ci, 1.0, -1.0)
-        kernel = accel.rbf_kernel(x, x, gamma)
-        alpha, bias, iters, gap = accel.smo_solve(
-            kernel, y, float(c), float(tol), DEFAULT_MAX_ITER
-        )
-        del kernel  # one Gram at a time: drop it before the next pair's
+        alpha, bias, iters, gap = accel.smo_solve(x, y, gamma, c, tol, DEFAULT_MAX_ITER)
         if not gap <= tol:  # a NaN gap has not converged either
             raise MethodError(
                 f"SMO did not converge for class pair ({ci}, {cj}): "
@@ -151,7 +148,7 @@ def train_svm(
             bias=float(bias),
         ))
     return SvmModel(
-        classes=classes, pairs=pairs, gamma=float(gamma), n_features=features.shape[1]
+        classes=classes, pairs=pairs, gamma=gamma, n_features=features.shape[1]
     )
 
 

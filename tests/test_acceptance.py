@@ -54,7 +54,7 @@ def _warm_kernels():
     f = np.zeros((2, 2))
     accel.rbf_kernel(f, f, 1.0)
     accel.nn1_index(f, f)
-    accel.smo_solve(np.eye(2), np.array([1.0, -1.0]), 1.0, 1e-3, 10)
+    accel.smo_solve(np.eye(2), np.array([1.0, -1.0]), 1.0, 1.0, 1e-3, 10)
 
 
 def test_criterion_1_estimator_oracle_equivalence():

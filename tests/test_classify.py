@@ -159,6 +159,28 @@ class TestSvm:
         assert len(model.pairs) == 6
         assert (predict(model, x) == y).all()
 
+    def test_pairs_match_the_oracle(self):
+        # each pair trains on its two classes' rows, in pixel order, by the
+        # whole-array SMO on the whole-array kernel
+        rng = np.random.default_rng(17)
+        labels = rng.permutation(np.repeat([1, 2, 3, 4], [40, 25, 60, 15]))
+        x = labels[:, None] / 5 + 0.15 * rng.normal(size=(labels.size, 5))
+        x = np.clip(np.round(15 * x), 0, 15) / 15
+        model = train_svm(x, labels)
+        assert len(model.pairs) == 6
+        for pair in model.pairs:
+            rows = np.isin(labels, [pair.positive, pair.negative])
+            xp = x[rows]
+            y = np.where(labels[rows] == pair.positive, 1.0, -1.0)
+            alpha, bias = brute.smo_solve(
+                brute.rbf_kernel(xp, xp, model.gamma), y,
+                classify.DEFAULT_C, classify.DEFAULT_TOL, classify.DEFAULT_MAX_ITER,
+            )[:2]
+            sv = alpha > 0.0
+            assert pair.alphas.tobytes() == alpha[sv].tobytes()
+            assert pair.sv_features.tobytes() == xp[sv].tobytes()
+            assert pair.bias.hex() == float(bias).hex()
+
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             train_svm(np.zeros((4, 2)), np.ones(4, dtype=int))
@@ -187,9 +209,10 @@ class TestSvm:
             train_svm(x, y)
 
     @pytest.mark.parametrize("param", ["c", "gamma", "tol"])
-    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     def test_nan_or_nonpositive_parameter_rejected(self, param, value):
-        # NaN fails every comparison, so it must not pass a "<= 0" test
+        # NaN fails every comparison, so it must not pass a "<= 0" test; an
+        # infinite gamma made a NaN kernel and an infinite tol no step
         x, y = two_clusters()
         with pytest.raises(ConfigError, match="positive"):
             train_svm(x, y, **{param: value})
@@ -432,11 +455,11 @@ def binary_problem(x, seed):
 class TestSmoSolve:
     """accel.smo_solve against the whole-array form in tests/brute.py."""
 
-    def assert_matches_oracle(self, x, c=100.0, tol=1e-3, max_steps=1_000_000, seed=0):
-        y = binary_problem(x, seed)
-        kernel = brute.rbf_kernel(x, x, 1.0 / x.shape[1])
-        want = brute.smo_solve(kernel, y, c, tol, max_steps)
-        same_solution(accel.smo_solve(kernel, y, c, tol, max_steps), want)
+    def assert_matches_oracle(self, x, c=100.0, tol=1e-3, max_steps=1_000_000, seed=0, y=None):
+        y = binary_problem(x, seed) if y is None else y
+        gamma = 1.0 / x.shape[1]
+        want = brute.smo_solve(brute.rbf_kernel(x, x, gamma), y, c, tol, max_steps)
+        same_solution(accel.smo_solve(x, y, gamma, c, tol, max_steps), want)
         return want
 
     @pytest.mark.parametrize("n, k", [(30, 2), (120, 5), (250, 20)])
@@ -467,14 +490,22 @@ class TestSmoSolve:
     def test_two_rows(self):
         self.assert_matches_oracle(np.array([[0.0, 1.0], [1.0, 0.5]]))
 
+    def test_separated_clusters_read_few_rows(self):
+        # desk-shaped pair (k=6 level features): a few steps read at most
+        # two rows each, and the other rows stay products, never exponentiated
+        rng = np.random.default_rng(6)
+        y = np.where(np.arange(1000) % 2 == 0, 1.0, -1.0)
+        x = 0.5 + 0.3 * y[:, None] + 0.1 * rng.normal(size=(1000, 6))
+        x = np.clip(np.round(15 * x), 0, 15) / 15
+        assert self.assert_matches_oracle(x, y=y)[2] < 50
+
     @pytest.mark.parametrize("y, c", [((1.0,) * 5, 1.0), ((1.0, -1.0) * 2 + (1.0,), 0.0)])
     def test_empty_working_set_takes_no_step(self, y, c):
         # one label only, or a box [0, 0]: the up or the low set starts empty
         x = np.random.default_rng(1).normal(size=(5, 2))
-        kernel = brute.rbf_kernel(x, x, 0.5)
         y = np.array(y)
-        got = accel.smo_solve(kernel, y, c, 1e-3, 100)
-        same_solution(got, brute.smo_solve(kernel, y, c, 1e-3, 100))
+        got = accel.smo_solve(x, y, 0.5, c, 1e-3, 100)
+        same_solution(got, brute.smo_solve(brute.rbf_kernel(x, x, 0.5), y, c, 1e-3, 100))
         assert got[2] == 0
 
 
