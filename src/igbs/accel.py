@@ -90,8 +90,7 @@ def rbf_kernel(a, b, gamma):
     bits differ from GEMM's), and ``_rbf_rows`` forms the rest in place in
     it, one row block at a time.
     """
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = aa if b is a else np.einsum("ij,ij->i", b, b)
+    aa, bb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
     out = a @ b.T
     step = max(1, RBF_BLOCK // max(out.shape[1], 1))
     norms = np.empty((min(step, out.shape[0]), out.shape[1]))

@@ -50,6 +50,13 @@ def text(value) -> str:
     return value
 
 
+def path_text(value) -> str:
+    """A file system path: a string that the OS can take, so without NUL."""
+    if "\0" in text(value):
+        raise ValueError(f"path contains a NUL byte: {value!r}")
+    return value
+
+
 def optional(cast):
     return lambda value: None if value is None else cast(value)
 

@@ -69,7 +69,7 @@ def _read_raw(path: str, dtype: str, shape: tuple) -> np.ndarray:
     the file must hold exactly that many bytes."""
     try:
         actual = os.path.getsize(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise DataError(f"cannot stat {path}: {exc}") from exc
     expected = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
     if actual != expected:

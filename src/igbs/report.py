@@ -17,7 +17,7 @@ import numpy as np
 from .classify import DEFAULT_C, DEFAULT_FRACTION, DEFAULT_TOL
 from .datamodel import DEFAULT_LEVELS, MAX_LEVELS
 from .errors import ConfigError, cast_fields
-from .errors import finite, integer, optional, sequence, text, typed
+from .errors import finite, integer, optional, path_text, sequence, text, typed
 from .selection import (
     DEFAULT_BETA,
     DEFAULT_LAMBDA,
@@ -38,9 +38,9 @@ class RunConfig:
     flags are generated from these fields."""
 
     methods: tuple = typed(sequence(lambda m: text(m).strip().upper()), METHODS, key="method")
-    cube: str | None = typed(optional(text), None, none="-",
+    cube: str | None = typed(optional(path_text), None, none="-",
                              help="cube base path or .hdr.json path")
-    gt: str | None = typed(optional(text), None, none="-",
+    gt: str | None = typed(optional(path_text), None, none="-",
                            help="ground truth path (.gt.raw or .csv)")
     k: int = typed(integer, 10, help="number of bands to select")
     levels: int = typed(integer, DEFAULT_LEVELS, help="quantization levels")
@@ -54,7 +54,7 @@ class RunConfig:
     svm_tol: float = typed(finite, DEFAULT_TOL)
     fraction: float = typed(finite, DEFAULT_FRACTION, help="train fraction of labeled pixels")
     seed: int = typed(integer, 0)
-    out: str = typed(text, "run", key=None, help="output directory")
+    out: str = typed(path_text, "run", key=None, help="output directory")
 
     def __post_init__(self):
         """The one place a run's configuration is checked: every field is

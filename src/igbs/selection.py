@@ -8,9 +8,9 @@ interaction between the class map, the estimated class map and the
 candidate band to the relevance term.
 
 ``init_state`` is the one place a greedy run turns ``(qcube, gt)`` into
-arrays: it extracts the labeled pixels once, wraps each band row as a
-``DiscreteSeries`` once and scores band relevance from those series, so
-``init_state(qcube, gt).relevance`` is the relevance vector.
+arrays: it extracts the labeled pixels once and takes every band's
+relevance and entropy once, so ``init_state(qcube, gt).relevance`` is the
+relevance vector.
 
 Each step scores all remaining candidates as one array
 (``score_mifs``/``score_mrmr``/``score_igbs(cands, state, ...)``, or the
@@ -19,7 +19,8 @@ lowest band index, so score ties go to the lowest band. One stacked count
 per step gives every candidate's MI against the newest pick (MIFS, MRMR)
 or the (labels, estimate) pair (IGBS), each with the bits of one
 ``mutual_information`` call. ``SelectionState.select`` keeps the selected
-rows' exact integer sum, from which every estimated class map is derived.
+rows' exact integer sum, from which each estimated class map is derived
+where it is scored.
 """
 
 from __future__ import annotations
@@ -52,28 +53,19 @@ class SelectionState:
     ``select`` moves a band from ``remaining`` to ``selected``."""
 
     matrix: np.ndarray  # (bands, n_labeled) uint8 quantized values, C-ordered
-    series: list[DiscreteSeries]  # one per row of the matrix, sharing its memory
     labels: DiscreteSeries
     levels: int
     relevance: np.ndarray
+    band_entropy: np.ndarray  # H(band) of every row of the matrix
     band_sum: np.ndarray  # int64 sum of the selected rows of the matrix
     selected: list[int] = field(default_factory=list)
     remaining: list[int] = field(default_factory=list)
-    estimated_gt: DiscreteSeries | None = None  # of the current selection
     _pair_mi: dict = field(default_factory=dict, repr=False)
-    _entropy: np.ndarray | None = field(default=None, repr=False)
 
     def select(self, band: int) -> None:
         self.selected.append(band)
         self.remaining.remove(band)
         self.band_sum += self.matrix[band]
-        self.estimated_gt = None
-
-    def band_entropy(self) -> np.ndarray:
-        """H(band) of every band, computed on first use."""
-        if self._entropy is None:
-            self._entropy = np.array([entropy(s) for s in self.series])
-        return self._entropy
 
     def pair_mi(self, i: int, j: int) -> float:
         key = (i, j) if i < j else (j, i)
@@ -84,20 +76,21 @@ class SelectionState:
     def fill_pair_mi(self, band: int, cands) -> None:
         """Cache MI(c; band) for every c of ``cands`` from one stacked count.
 
-        The bits are those of ``mutual_information(series[c], series[band])``:
-        the count of (band, c) is transposed so that c is the row variable,
-        and H(c), H(band) come from each band's own counts, which equal the
-        joint's row and column sums.
+        The bits are those of ``mutual_information`` on the two rows wrapped
+        as series: the count of (band, c) is transposed so that c is the row
+        variable, and H(c), H(band) are the ``band_entropy`` entries, which
+        equal the joint's row and column sums' entropies.
         """
-        (joint,) = joint_entropies(self.series[band], [self.matrix[c] for c in cands],
-                                   self.levels, lambda counts: counts.transpose(0, 2, 1))
-        h = self.band_entropy()
-        mi = (h[cands] + h[band]) - joint
+        row = DiscreteSeries(self.matrix[band], self.levels)
+        (joint,) = joint_entropies(row, [self.matrix[c] for c in cands], self.levels,
+                                   lambda counts: counts.transpose(0, 2, 1))
+        mi = (self.band_entropy[cands] + self.band_entropy[band]) - joint
         for c, value in zip(cands, mi.tolist()):
             self._pair_mi[(c, band) if c < band else (band, c)] = value
 
-    def rebuild_estimated_gt(self) -> None:
-        self.estimated_gt = _estimated_map(self.band_sum, len(self.selected), self.levels)
+    def rebuild_estimated_gt(self) -> DiscreteSeries:
+        """The estimated class map of the current selection."""
+        return _estimated_map(self.band_sum, len(self.selected), self.levels)
 
 
 @dataclass(frozen=True)
@@ -159,20 +152,20 @@ def score_igbs(cands, state: SelectionState, lam: float = DEFAULT_LAMBDA) -> np.
     """Relevance plus the normalized three-way interaction of the class map,
     the estimated class map and each candidate: MI((labels, estimate); c) −
     relevance − MI(estimate; c), both joints from one stacked count."""
-    est = state.estimated_gt
-    if est is None:
-        raise ConfigError("IGBS score needs an estimated ground truth")
+    if not state.selected:
+        raise ConfigError("IGBS score needs at least one selected band")
+    est = state.rebuild_estimated_gt()
     pair = pair_series(state.labels, est)
     joint_pair, joint_est = joint_entropies(
         pair, [state.matrix[c] for c in cands], state.levels, lambda counts: counts,
         lambda counts: estimate_joint(counts, est.alphabet))
-    h, rel = state.band_entropy()[cands], state.relevance[cands]
+    h, rel = state.band_entropy[cands], state.relevance[cands]
     gain = (((entropy(pair) + h) - joint_pair) - rel) - ((entropy(est) + h) - joint_est)
     return rel + lam * gain / len(state.selected)
 
 
 def init_state(qcube: QuantizedCube, gt: GroundTruth) -> SelectionState:
-    """The labeled pixels of every band, extracted once, and their relevance."""
+    """Every band's labeled pixels, extracted once, with their relevance and entropy."""
     matrix = labeled_matrix(qcube, gt)
     series = [DiscreteSeries(symbols=row, alphabet=qcube.levels) for row in matrix]
     # class ranks, not ids: histograms are sized by the class count, and a
@@ -181,10 +174,10 @@ def init_state(qcube: QuantizedCube, gt: GroundTruth) -> SelectionState:
     labels = DiscreteSeries(symbols=ranks, alphabet=gt.classes.size)
     return SelectionState(
         matrix=matrix,
-        series=series,
         labels=labels,
         levels=qcube.levels,
         relevance=relevance_scores(series, labels),
+        band_entropy=np.array([entropy(s) for s in series]),
         band_sum=np.zeros(matrix.shape[1], dtype=np.int64),
         remaining=list(range(qcube.bands)),
     )
@@ -196,7 +189,6 @@ def _step_scores(method: str, state: SelectionState, beta: float, lam: float) ->
     if method == "MIM":
         return state.relevance[cands]
     if method == "IGBS":
-        state.rebuild_estimated_gt()
         return score_igbs(cands, state, lam)
     state.fill_pair_mi(state.selected[-1], cands)
     if method == "MIFS":

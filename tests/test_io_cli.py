@@ -14,7 +14,7 @@ import pytest
 
 from igbs import classify, cli, pipeline, raster
 from igbs.cli import main
-from igbs.datamodel import GroundTruth, HyperCube, quantize_cube
+from igbs.datamodel import DiscreteSeries, GroundTruth, HyperCube, quantize_cube
 from igbs.errors import ConfigError, DataError, MethodError, build_record, read_json_object
 from igbs.report import MethodOutcome, RunConfig, render_comparison, render_method_report
 from igbs.selection import init_state
@@ -74,7 +74,8 @@ class TestCubeFormat:
         gt = GroundTruth(labels=np.array([[1, 0, 2, 2], [0, 1, 1, 2], [2, 2, 0, 1]]))
         state = init_state(qcube, gt)
         assert state.matrix.dtype == np.uint8
-        for series in state.series:
+        for row in state.matrix:
+            series = DiscreteSeries(symbols=row, alphabet=qcube.levels)
             assert series.symbols.dtype == np.uint8
             assert np.shares_memory(series.symbols, state.matrix)  # rows, not copies
 
@@ -713,6 +714,35 @@ def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, co
     assert "Traceback" not in err
     # synth writes <out>.hdr.json, <out>.raw, ... and never <out> itself
     assert not list(tmp_path.glob("out*"))
+
+
+# A NUL byte in a configured path once crashed `compare`: in os.makedirs
+# after every method had run (out), or stat-ing the raw ground truth (gt).
+@pytest.mark.parametrize("field, value", [
+    pytest.param("cube", "scene\0", id="cube"),
+    pytest.param("gt", "scene.gt\0.raw", id="gt"),
+    pytest.param("out", "out\0b", id="out"),
+])
+def test_nul_in_config_path_exits_2_before_reading(small_dataset, tmp_path, capsys,
+                                                   field, value):
+    base = small_dataset[0]
+    config = {"cube": base, "gt": base + ".gt.raw", "out": str(tmp_path / "out"),
+              "k": 2, "classifier": "1nn", "methods": ["MIM"]}
+    config[field] = str(tmp_path / value)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["compare", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "NUL" in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_nul_in_raster_path_is_a_data_error(small_dataset):
+    base = small_dataset[0]
+    with pytest.raises(DataError):
+        raster.load_cube(base + "\0")
+    with pytest.raises(DataError):
+        raster.load_gt(base + ".gt\0.raw", rows=12, cols=12)
 
 
 # Each header text once ended in a traceback or was silently accepted.

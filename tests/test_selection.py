@@ -10,6 +10,7 @@ from igbs.datamodel import DiscreteSeries, GroundTruth, QuantizedCube, label_ser
 from igbs.errors import ConfigError, DataError
 from igbs.infotheory import entropy, mutual_information, pair_series
 from igbs.selection import (
+    SelectionState,
     build_estimated_gt,
     estimate_joint,
     greedy_select,
@@ -31,6 +32,11 @@ def make_instance(band_rows, labels, levels=None):
     qcube = QuantizedCube(values=band_rows.reshape(-1, 1, n), levels=max(levels, 2))
     gt = GroundTruth(labels=labels.reshape(1, n))
     return qcube, gt
+
+
+def row_series(state, band):
+    """A band row of the state's matrix as the series the estimators take."""
+    return DiscreteSeries(symbols=state.matrix[band], alphabet=state.levels)
 
 
 def random_instance(rng, bands=6, n=256, levels=4, classes=3):
@@ -75,11 +81,9 @@ class TestEstimatedGt:
         rows = qcube.values[:, 0, :].tolist()
         for count, band in enumerate((5, 0, 7, 2), start=1):
             state.select(band)
-            state.rebuild_estimated_gt()
-            picked = state.selected
-            assert state.estimated_gt.symbols.tolist() == brute.estimated_gt(rows, picked)
-            assert np.array_equal(build_estimated_gt(qcube, gt, picked).symbols,
-                                  state.estimated_gt.symbols)
+            picked, est = state.selected, state.rebuild_estimated_gt()
+            assert est.symbols.tolist() == brute.estimated_gt(rows, picked)
+            assert np.array_equal(build_estimated_gt(qcube, gt, picked).symbols, est.symbols)
             assert np.array_equal(state.band_sum, qcube.values[picked, 0, :].sum(axis=0))
             assert len(picked) == count and band not in state.remaining
 
@@ -119,7 +123,7 @@ class TestScores:
         )
         state = init_state(qcube, gt)
         state.select(0)
-        h_band = entropy(state.series[1])
+        h_band = entropy(row_series(state, 1))
         expected = float(state.relevance[1]) - h_band
         (score,) = score_mifs([1], state, beta=1.0)
         assert score == pytest.approx(expected, abs=1e-12)
@@ -162,17 +166,11 @@ class TestScores:
         with pytest.raises(ConfigError):
             score_mrmr([0], state)
 
-    def test_igbs_requires_estimated_gt(self):
+    def test_igbs_requires_selected(self):
         qcube, gt = make_instance([[0, 1], [1, 1]], [1, 2])
         state = init_state(qcube, gt)
-        state.select(0)
         with pytest.raises(ConfigError):
             score_igbs([1], state)
-        # a pick makes the estimate stale until it is rebuilt
-        state.rebuild_estimated_gt()
-        state.select(1)
-        with pytest.raises(ConfigError):
-            score_igbs([], state)
 
 
 class TestIgbsScore:
@@ -186,7 +184,6 @@ class TestIgbsScore:
         qcube, gt = make_instance([g1, g2, g1.copy()], labels, levels=2)
         state = init_state(qcube, gt)
         state.select(0)
-        state.rebuild_estimated_gt()
         return state
 
     def test_independent_candidate_keeps_relevance(self):
@@ -197,7 +194,6 @@ class TestIgbsScore:
         qcube, gt = make_instance([g, c], labels, levels=2)
         state = init_state(qcube, gt)
         state.select(0)
-        state.rebuild_estimated_gt()
         assert score_igbs([1], state)[0] == pytest.approx(
             float(state.relevance[1]), abs=1e-12
         )
@@ -210,14 +206,13 @@ class TestIgbsScore:
         qcube, gt = make_instance([b0, c], labels, levels=2)
         state = init_state(qcube, gt)
         state.select(0)
-        state.rebuild_estimated_gt()
         assert float(state.relevance[1]) == pytest.approx(0.0, abs=1e-12)
         assert score_igbs([1], state, lam=1.0)[0] == pytest.approx(1.0, abs=1e-12)
         assert score_igbs([1], state, lam=0.5)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_candidate_equal_to_estimate_is_pure_redundancy(self):
         state = self._two_bit_state()
-        mi_gt_est = mutual_information(state.labels, state.estimated_gt)
+        mi_gt_est = mutual_information(state.labels, state.rebuild_estimated_gt())
         (score,) = score_igbs([2], state, lam=1.0)
         assert score - float(state.relevance[2]) == pytest.approx(
             -mi_gt_est, abs=1e-12
@@ -295,6 +290,21 @@ class TestGreedy:
         assert len(a.selected) <= 4
         assert len(a.step_scores) == len(a.selected)
 
+    @pytest.mark.parametrize("method", ["MIM", "MIFS", "MRMR", "MIBF", "IGBS"])
+    def test_one_estimated_map_per_igbs_step(self, monkeypatch, method):
+        rebuild = SelectionState.rebuild_estimated_gt
+        calls = []
+
+        def counted(state):
+            calls.append(len(state.selected))
+            return rebuild(state)
+
+        monkeypatch.setattr(SelectionState, "rebuild_estimated_gt", counted)
+        qcube, gt = random_instance(np.random.default_rng(6), bands=8)
+        greedy_select(qcube, gt, method, k=5)
+        # IGBS: one map per step, of the 1, 2, 3 and 4 bands selected so far
+        assert calls == ([1, 2, 3, 4] if method == "IGBS" else [])
+
     def test_igbs_steps_replayable(self):
         rng = np.random.default_rng(6)
         qcube, gt = random_instance(rng)
@@ -302,7 +312,6 @@ class TestGreedy:
         state = init_state(qcube, gt)
         state.select(res.selected[0])
         for step, accepted in enumerate(res.selected[1:], start=1):
-            state.rebuild_estimated_gt()
             scores = score_igbs(state.remaining, state)
             accepted_score = scores[state.remaining.index(accepted)]
             assert accepted_score.hex() == res.step_scores[step].hex()
@@ -497,12 +506,12 @@ class TestStackedStep:
         cands = [0, 1, 2, 3, 5, 6, 7, 8]  # both sides of band 4
         state.fill_pair_mi(4, cands)
         for c in cands:
-            expected = brute.mutual_information(state.series[c], state.series[4])
+            expected = brute.mutual_information(row_series(state, c), row_series(state, 4))
             assert state.pair_mi(c, 4).hex() == expected.hex()
         # a miss on a state built by hand counts the one pair the same way
         fresh = init_state(qcube, gt)
         assert fresh.pair_mi(6, 2).hex() == brute.mutual_information(
-            fresh.series[6], fresh.series[2]).hex()
+            row_series(fresh, 6), row_series(fresh, 2)).hex()
         fresh.fill_pair_mi(0, [])
         assert fresh._pair_mi.keys() == {(2, 6)}
 
@@ -512,15 +521,14 @@ class TestStackedStep:
         state = init_state(qcube, gt)
         for band in (1, 4, 7):
             state.select(band)
-        state.rebuild_estimated_gt()
         assert state.remaining == [0, 2, 3, 5, 6, 8]
         scores = score_igbs(state.remaining, state, lam=0.75)
-        est = state.estimated_gt
+        est = state.rebuild_estimated_gt()
         pair = pair_series(state.labels, est)
         for c, score in zip(state.remaining, scores):
             rel = float(state.relevance[c])
-            gain = (brute.mutual_information(pair, state.series[c]) - rel
-                    - brute.mutual_information(est, state.series[c]))
+            gain = (brute.mutual_information(pair, row_series(state, c)) - rel
+                    - brute.mutual_information(est, row_series(state, c)))
             assert score.hex() == (rel + 0.75 * gain / 3).hex()
             # one candidate at a time counts the same bits
             assert score_igbs([c], state, lam=0.75)[0].hex() == score.hex()
@@ -531,8 +539,7 @@ class TestStackedStep:
         state = init_state(qcube, gt)
         state.select(0)
         state.select(3)
-        state.rebuild_estimated_gt()
-        est = state.estimated_gt
+        est = state.rebuild_estimated_gt()
         pair = pair_series(state.labels, est)
         rows = list(state.matrix[1:])
         counts = np.concatenate(list(accel.hist2d_rows(pair.symbols, rows, pair.alphabet, levels)))
@@ -556,7 +563,8 @@ class TestStackedStep:
             params = {} if weight is None else {"beta": weight, "lam": weight}
             state = init_state(qc, gt)
             res = greedy_select(qc, gt, method, k=6, **params)
-            selected, scores = brute.greedy_scores(state.series, state.labels, state.matrix,
+            series = [row_series(state, b) for b in range(qc.bands)]
+            selected, scores = brute.greedy_scores(series, state.labels, state.matrix,
                                                    levels, method, k=6, **params)
             assert res.selected == selected
             assert [s.hex() for s in res.step_scores] == [s.hex() for s in scores]
@@ -603,14 +611,14 @@ class TestUint8Levels:
             want = [brute.hist2d(wide[x], wide[b], 256, 256) for b in others]
             assert np.array_equal(got, np.stack(want))
         for a, b in ((0, 1), (5, 2)):
-            narrow = pair_series(state.series[a], state.series[b])
+            narrow = pair_series(row_series(state, a), row_series(state, b))
             pair = pair_series(wide_series[a], wide_series[b])
             assert narrow.alphabet == pair.alphabet == 65536
             assert pair.symbols.max() > 255
             assert np.array_equal(narrow.symbols, pair.symbols)
-            mi = mutual_information(state.series[a], state.series[b])
+            mi = mutual_information(row_series(state, a), row_series(state, b))
             assert mi.hex() == brute.mutual_information(wide_series[a], wide_series[b]).hex()
-            assert entropy(state.series[a], state.series[b]).hex() == entropy(pair).hex()
+            assert entropy(row_series(state, a), row_series(state, b)).hex() == entropy(pair).hex()
 
     @pytest.mark.parametrize("method", ["MIFS", "MRMR", "MIBF", "IGBS"])
     def test_greedy_matches_int64_rows(self, instance, method):
