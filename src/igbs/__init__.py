@@ -18,7 +18,6 @@ from .datamodel import (
     GroundTruth,
     HyperCube,
     QuantizedCube,
-    label_series,
     quantize_cube,
 )
 from .errors import ConfigError, DataError, IgbsError, MethodError
@@ -66,7 +65,6 @@ __all__ = [
     "greedy_select",
     "interaction_information",
     "knn_predict",
-    "label_series",
     "load_cube",
     "load_gt",
     "mutual_information",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .datamodel import GroundTruth, integers, label_series
+from .datamodel import GroundTruth, integers
 from .errors import ConfigError, DataError, MethodError, cast_value, integer
 
 DEFAULT_C = 100.0
@@ -46,11 +46,10 @@ def stratified_split(
     seed = cast_value(seed, integer, ConfigError, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    labels = label_series(gt).symbols
     rng = np.random.default_rng(seed)
     train, test = [], []
-    for cls in gt.classes:
-        idx = np.where(labels == cls)[0]
+    for rank, cls in enumerate(gt.classes):
+        idx = np.flatnonzero(gt.ranks == rank)
         if idx.size < 2:
             raise DataError(f"class {int(cls)} has fewer than 2 labeled pixels")
         perm = idx[rng.permutation(idx.size)]

@@ -6,8 +6,8 @@ the alphabet every information estimator downstream operates on. Probability
 estimates only ever see pixels with a nonzero ground-truth label.
 
 ``GroundTruth`` fixes those pixels at construction (``gt.index``, their flat
-row-major indices, and ``gt.classes``), and ``labeled_matrix(qcube, gt,
-bands=None)`` is the one reader of their values, for any list of bands.
+row-major indices, ``gt.classes`` and ``gt.ranks``, each one's index into
+``gt.classes``); ``labeled_matrix(qcube, gt, bands=None)`` reads their values.
 
 A ``HyperCube`` keeps float32 samples as float32 (u16 samples widen to it
 exactly) and anything wider as float64; quantization computes in float64
@@ -84,11 +84,12 @@ class HyperCube(_BandMajor):
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Per-pixel class labels, 0 = unlabeled, 1..C = classes."""
+    """Per-pixel class labels: 0 = unlabeled, a positive id only names a class."""
 
     labels: np.ndarray
     index: np.ndarray = field(init=False)  # labeled pixels' flat indices, row-major
     classes: np.ndarray = field(init=False)  # sorted distinct nonzero labels
+    ranks: np.ndarray = field(init=False)  # each labeled pixel's index into classes
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -98,12 +99,13 @@ class GroundTruth:
         if (labels < 0).any():
             raise DataError("ground truth labels must be nonnegative")
         index = np.flatnonzero(labels)
-        classes = np.unique(np.take(labels, index))
+        classes, ranks = np.unique(np.take(labels, index), return_inverse=True)
         if classes.size < 2:
             raise DataError("ground truth needs at least 2 distinct nonzero labels")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def rows(self) -> int:
@@ -112,10 +114,6 @@ class GroundTruth:
     @property
     def cols(self) -> int:
         return self.labels.shape[1]
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.labels > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +216,3 @@ def labeled_matrix(qcube: QuantizedCube, gt: GroundTruth, bands=None) -> np.ndar
     # one copy; values[:, mask] is the same array in Fortran order
     return np.take(planes, gt.index, axis=1)
 
-
-def label_series(gt: GroundTruth) -> DiscreteSeries:
-    """The class labels of the labeled pixels, in ``gt.index`` order."""
-    return DiscreteSeries(symbols=np.take(gt.labels, gt.index),
-                          alphabet=int(gt.classes[-1]) + 1)

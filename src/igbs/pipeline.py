@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from . import classify, raster
-from .datamodel import GroundTruth, HyperCube, QuantizedCube, label_series, labeled_matrix, quantize_cube
+from .datamodel import GroundTruth, HyperCube, QuantizedCube, labeled_matrix, quantize_cube
 from .errors import ConfigError, DataError, MethodError
 from .report import MethodOutcome, RunConfig, render_comparison, render_method_report
 from .selection import greedy_select
@@ -52,7 +52,7 @@ def run_method(
     selection = greedy_select(qcube, gt, method, config.k,
                               beta=config.beta, threshold=config.threshold, lam=config.lam)
     features = band_features(qcube, gt, selection.selected)
-    labels = label_series(gt).symbols
+    labels = gt.classes[gt.ranks]
     train_x, train_y = features[split.train_idx], labels[split.train_idx]
     gamma = None
     if config.classifier == "svm":
@@ -77,8 +77,14 @@ def run_compare(
     gt: GroundTruth | None = None,
 ) -> list[MethodOutcome]:
     """Run every configured method and write reports, maps and the
-    comparison table under ``config.out``."""
-    if cube is None or gt is None:
+    comparison table under ``config.out``. An in-memory ``cube`` and ``gt``
+    come together or not at all."""
+    if (cube is None) != (gt is None):
+        missing = "gt" if gt is None else "cube"
+        raise ConfigError(f"an in-memory cube and gt go together: {missing} is missing")
+    if os.path.exists(config.out) and not os.path.isdir(config.out):
+        raise DataError(f"output directory {config.out} is an existing file")
+    if cube is None:
         qcube, gt = load_dataset(config)
     else:
         qcube = quantize_cube(cube, config.levels)

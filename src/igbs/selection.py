@@ -33,7 +33,6 @@ from .datamodel import (
     DiscreteSeries,
     GroundTruth,
     QuantizedCube,
-    label_series,
     labeled_matrix,
     round_half_up,
 )
@@ -170,8 +169,7 @@ def init_state(qcube: QuantizedCube, gt: GroundTruth) -> SelectionState:
     series = [DiscreteSeries(symbols=row, alphabet=qcube.levels) for row in matrix]
     # class ranks, not ids: histograms are sized by the class count, and a
     # monotone relabeling keeps every nonzero cell in order, so MI is unchanged
-    ranks = np.searchsorted(gt.classes, label_series(gt).symbols)
-    labels = DiscreteSeries(symbols=ranks, alphabet=gt.classes.size)
+    labels = DiscreteSeries(symbols=gt.ranks, alphabet=gt.classes.size)
     return SelectionState(
         matrix=matrix,
         labels=labels,

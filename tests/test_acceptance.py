@@ -27,7 +27,7 @@ from igbs.classify import (
     train_svm,
 )
 from igbs.cli import main
-from igbs.datamodel import DiscreteSeries, GroundTruth, QuantizedCube, label_series, quantize_cube
+from igbs.datamodel import DiscreteSeries, GroundTruth, QuantizedCube, quantize_cube
 from igbs.infotheory import entropy, interaction_information, mutual_information
 from igbs.report import RunConfig
 from igbs.selection import METHODS, greedy_select, init_state
@@ -161,7 +161,7 @@ def test_criterion_5_synthetic_recovery():
         placements[method] = len(planted & set(first6))
     placement_ok = all(v >= 4 for v in placements.values())
 
-    labels = label_series(gt).symbols
+    labels = gt.classes[gt.ranks]
     split = stratified_split(gt, fraction=0.5, seed=0)
     igbs5 = greedy_select(qcube, gt, "IGBS", k=5).selected
     worst5 = np.argsort(init_state(qcube, gt).relevance, kind="stable")[:5].tolist()

@@ -43,14 +43,14 @@ class TestStratifiedSplit:
     def test_half_split_of_46(self):
         gt = grid_gt([46, 46])
         plan = stratified_split(gt, fraction=0.5, seed=1)
-        labels = gt.labels[gt.mask]
+        labels = gt.labels[gt.labels > 0]
         assert (labels[plan.train_idx] == 1).sum() == 23
         assert (labels[plan.test_idx] == 1).sum() == 23
 
     def test_floor_rule_on_odd_class(self):
         gt = grid_gt([5, 8])
         plan = stratified_split(gt, fraction=0.5, seed=0)
-        labels = gt.labels[gt.mask]
+        labels = gt.labels[gt.labels > 0]
         assert (labels[plan.train_idx] == 1).sum() == 2
         assert (labels[plan.test_idx] == 1).sum() == 3
 

@@ -10,7 +10,6 @@ from igbs.datamodel import (
     GroundTruth,
     HyperCube,
     QuantizedCube,
-    label_series,
     labeled_matrix,
     quantize_cube,
 )
@@ -42,7 +41,7 @@ class TestTypes:
         gt = GroundTruth(labels=labels)
         assert np.array_equal(gt.index, np.flatnonzero(labels > 0))
         assert np.array_equal(gt.classes, np.unique(labels[labels > 0]))
-        assert np.array_equal(label_series(gt).symbols, labels[labels > 0])
+        assert np.array_equal(gt.classes[gt.ranks], labels[labels > 0])
 
     def test_gt_rejects_negative_labels(self):
         with pytest.raises(DataError):
@@ -225,19 +224,19 @@ class TestLabeledSeries:
         gt = GroundTruth(labels=np.array([[1] * 4, [2] * 4, [1] * 4]))
         assert len(labeled_matrix(q, gt)[0]) == 12
 
-    def test_paired_order_matches_label_series(self):
+    def test_paired_order_matches_labels(self):
         rng = np.random.default_rng(8)
         q = QuantizedCube(values=rng.integers(0, 4, size=(3, 5, 5)), levels=4)
         labels = rng.integers(0, 3, size=(5, 5))
         labels[0, 0], labels[0, 1] = 1, 2  # ensure two classes
         gt = GroundTruth(labels=labels)
-        ls = label_series(gt)
+        ls = gt.classes[gt.ranks]
         mat = labeled_matrix(q, gt)
         for band in range(3):
             bs = mat[band]
             assert len(bs) == len(ls)
             # same pixel ordering: check one known position
-            flat_band = q.values[band][gt.mask]
+            flat_band = q.values[band][gt.labels > 0]
             assert (bs == flat_band).all()
 
     def test_labeled_matrix_agrees(self):
@@ -261,7 +260,7 @@ class TestLabeledSeries:
         mat = labeled_matrix(q, gt)
         assert mat.flags.c_contiguous
         assert mat.dtype == q.values.dtype
-        assert np.array_equal(mat, q.values[:, gt.mask])
+        assert np.array_equal(mat, q.values[:, gt.labels > 0])
 
     @pytest.mark.parametrize("bands", [[0, 2, 4], [4, 0, 3], [1, 1, 3, 1], [2]])
     def test_band_subset_equals_rows_of_the_full_matrix(self, bands):

@@ -275,6 +275,43 @@ class TestRunCompare:
             oas.append(o.report.oa)
         assert max(oas) - min(oas) == 0.0
 
+    @pytest.mark.parametrize("given, with_paths", [("gt", True), ("cube", False),
+                                                   ("cube", True), ("gt", False)])
+    def test_half_an_in_memory_input_is_refused(self, small_dataset, tmp_path, monkeypatch,
+                                                given, with_paths):
+        # with paths, an in-memory gt alone was ignored for the files; without,
+        # an in-memory cube alone was "cube and gt paths are required"
+        base, cube, gt = small_dataset
+
+        def no_load(config):
+            raise AssertionError("run_compare loaded the dataset")
+
+        monkeypatch.setattr(pipeline, "load_dataset", no_load)
+        paths = {"cube": base, "gt": base + ".gt.raw"} if with_paths else {}
+        config = RunConfig(k=3, classifier="1nn", out=str(tmp_path / "out"), **paths)
+        missing = "cube" if given == "gt" else "gt"
+        with pytest.raises(ConfigError, match=f"{missing} is missing"):
+            pipeline.run_compare(config, **{given: {"cube": cube, "gt": gt}[given]})
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("verb", [["compare"], ["classify", "--method", "IGBS"]])
+    def test_out_that_is_a_file_fails_before_any_work(self, small_dataset, tmp_path, capsys,
+                                                      monkeypatch, verb):
+        # the run once selected and classified everything, then failed in makedirs
+        base = small_dataset[0]
+
+        def no_select(*args, **kwargs):
+            raise AssertionError("bands selected for an unwritable output")
+
+        monkeypatch.setattr(pipeline, "greedy_select", no_select)
+        out = tmp_path / "out"
+        out.write_text("keep")
+        assert main(verb + ["--cube", base, "--gt", base + ".gt.raw", "--k", "3",
+                            "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is an existing file" in err
+        assert out.read_text() == "keep"
+
     def test_failed_method_recorded_others_proceed(self, small_dataset, tmp_path, monkeypatch):
         base, _, _ = small_dataset
         real = pipeline.greedy_select

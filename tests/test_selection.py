@@ -6,10 +6,12 @@ import pytest
 
 import brute
 from igbs import accel
-from igbs.datamodel import DiscreteSeries, GroundTruth, QuantizedCube, label_series, quantize_cube
+from igbs.classify import stratified_split
+from igbs.datamodel import DiscreteSeries, GroundTruth, QuantizedCube, quantize_cube
 from igbs.errors import ConfigError, DataError
 from igbs.infotheory import entropy, mutual_information, pair_series
 from igbs.selection import (
+    METHODS,
     SelectionState,
     build_estimated_gt,
     estimate_joint,
@@ -51,7 +53,7 @@ class TestRelevance:
         labels = np.array([1, 1, 2, 2, 3, 3])
         qcube, gt = make_instance([labels - 1], labels, levels=3)
         rel = init_state(qcube, gt).relevance
-        h_gt = entropy(label_series(gt))
+        h_gt = entropy(DiscreteSeries(symbols=gt.ranks, alphabet=gt.classes.size))
         assert rel[0] == pytest.approx(h_gt, abs=1e-12)
 
     def test_independent_band_scores_zero(self):
@@ -330,6 +332,28 @@ class TestGreedy:
         relabeled = greedy_select(qcube, sparse, method, k=4)
         assert relabeled.selected == dense.selected
         assert [s.hex() for s in relabeled.step_scores] == [s.hex() for s in dense.step_scores]
+
+    def test_class_ids_are_only_names(self):
+        # a monotone relabeling keeps every class rank, so the split and every
+        # estimator (histograms sized and ordered by rank) see the same data
+        spec = SynthSpec(rows=12, cols=12, bands=8, classes=3, informative_bands=(1, 4, 6),
+                         seed=3)
+        cube, gt, _ = generate_cube(spec)
+        qcube = quantize_cube(cube, 16)
+        assert gt.classes.tolist() == [1, 2, 3]
+        renamed = GroundTruth(labels=np.array([0, 3, 40, 65535])[gt.labels])
+        assert renamed.classes.tolist() == [3, 40, 65535]
+        for g in (gt, renamed):
+            assert np.array_equal(g.ranks, np.searchsorted(g.classes, g.labels.flat[g.index]))
+        assert np.array_equal(renamed.ranks, gt.ranks)
+        plan, renamed_plan = stratified_split(gt, seed=5), stratified_split(renamed, seed=5)
+        assert np.array_equal(renamed_plan.train_idx, plan.train_idx)
+        assert np.array_equal(renamed_plan.test_idx, plan.test_idx)
+        for method in METHODS:
+            res, renamed_res = (greedy_select(qcube, g, method, k=5) for g in (gt, renamed))
+            assert renamed_res.selected == res.selected
+            assert ([s.hex() for s in renamed_res.step_scores]
+                    == [s.hex() for s in res.step_scores])
 
     @pytest.mark.parametrize("levels", [4, 16])
     @pytest.mark.parametrize("method", ["MIM", "MIFS", "MRMR", "MIBF", "IGBS"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from igbs.datamodel import DiscreteSeries, label_series, labeled_matrix, quantize_cube
+from igbs.datamodel import DiscreteSeries, labeled_matrix, quantize_cube
 from igbs.errors import DataError
 from igbs.infotheory import entropy, mutual_information, pair_series
 from igbs.selection import init_state
@@ -41,7 +41,7 @@ class TestGenerate:
                          informative_bands=(2,), noise_sigma=0.0, seed=1)
         cube, gt, _ = generate_cube(spec)
         rel = init_state(quantize_cube(cube, 16), gt).relevance
-        h_gt = entropy(label_series(gt))
+        h_gt = entropy(DiscreteSeries(symbols=gt.ranks, alphabet=gt.classes.size))
         assert rel[2] == pytest.approx(h_gt, abs=1e-12)
 
     def test_noiseless_planes_jointly_recover_all_classes(self):
@@ -50,7 +50,7 @@ class TestGenerate:
                          informative_bands=(2, 5), noise_sigma=0.0, seed=1)
         cube, gt, _ = generate_cube(spec)
         qcube = quantize_cube(cube, 16)
-        gt_series = label_series(gt)
+        gt_series = DiscreteSeries(symbols=gt.ranks, alphabet=gt.classes.size)
         h_gt = entropy(gt_series)
         rel = init_state(qcube, gt).relevance
         assert rel[2] < h_gt and rel[5] < h_gt
