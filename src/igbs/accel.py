@@ -13,16 +13,16 @@ determinism paragraph).
 computes that exact distance expression only for the few train rows the
 screen cannot rule out, so its answer is the one the plain broadcast gives.
 ``rbf_kernel`` forms everything after the matrix product in place, and
-``smo_solve`` takes a pair's features, not a kernel: it forms the same
-product and turns a row of it into kernel values only on the step that
-first reads that row, so the entries it reads equal ``rbf_kernel(x, x,
-gamma)``'s and the rows it never reads cost no ``exp``. It tracks its
-working set in two vectors whose entries change only at the two indices a
-step moves. Both reproduce, bit for bit, the whole-array forms kept in
-``tests/brute.py``: the same duals, bias, step count and gap, and the same
-kernel values. ``hist2d_rows`` counts one series against a stack of rows
-with one ``np.bincount`` per block of MI_BLOCK symbols; ``hist2d`` is its
-one-row case, and integer counts equal the one-pair counts exactly.
+``smo_solve`` takes a pair's features, not a kernel: every kernel row it
+reads is a row of ``rbf_kernel``, formed on the step that first reads it,
+so the rows it never reads cost nothing. It tracks its working set in two
+vectors whose entries change only at the two indices a step moves. Both
+reproduce, bit for bit, the whole-array forms kept in ``tests/brute.py``:
+the same kernel values, and the same duals, bias, step count and gap on
+the kernel stacked from those rows. ``hist2d_rows`` counts one series
+against a stack of rows with one ``np.bincount`` per block of MI_BLOCK
+symbols; ``hist2d`` is its one-row case, and integer counts equal the
+one-pair counts exactly.
 """
 
 from __future__ import annotations
@@ -66,29 +66,13 @@ def hist2d(x, y, ax, ay):
 RBF_BLOCK = 32_768
 
 
-def _rbf_rows(block, aa, bb, gamma, sq):
-    """Turn products ``a.b`` into kernel values in place, row by row.
-
-    ``block`` holds rows of the product ``a @ b.T``, ``aa`` the matching
-    entries of |a|^2, ``bb`` all of |b|^2, and ``sq`` is scratch of
-    ``block``'s shape. The sum and its association are the whole-array
-    form's, and every step works entry by entry, so a row gets the same bits
-    whichever block it is formed in.
-    """
-    np.add(aa[:, None], bb, out=sq)
-    block *= -2.0  # exact, so sq + block is sq - 2 a.b
-    block += sq
-    np.clip(block, 0.0, None, out=block)  # tiny negative round-off
-    block *= -gamma
-    np.exp(block, out=block)
-
-
 def rbf_kernel(a, b, gamma):
     """exp(-gamma * max(0, (|a|^2 + |b|^2) - 2 a.b)) for every row pair.
 
     ``a @ b.T`` stays one product (numpy hands ``a @ a.T`` to SYRK, whose
-    bits differ from GEMM's), and ``_rbf_rows`` forms the rest in place in
-    it, one row block at a time.
+    bits differ from GEMM's), and the rest is formed in place in it, one
+    row block at a time. Every step works entry by entry, so a row gets the
+    same bits whichever block it is formed in.
     """
     aa, bb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
     out = a @ b.T
@@ -96,7 +80,13 @@ def rbf_kernel(a, b, gamma):
     norms = np.empty((min(step, out.shape[0]), out.shape[1]))
     for s in range(0, out.shape[0], step):
         block = out[s : s + step]
-        _rbf_rows(block, aa[s : s + step], bb, gamma, norms[: block.shape[0]])
+        sq = norms[: block.shape[0]]
+        np.add(aa[s : s + step, None], bb, out=sq)
+        block *= -2.0  # exact, so sq + block is sq - 2 a.b
+        block += sq
+        np.clip(block, 0.0, None, out=block)  # tiny negative round-off
+        block *= -gamma
+        np.exp(block, out=block)
     return out
 
 
@@ -155,13 +145,11 @@ def nn1_index(train, test):
 def smo_solve(x, y, gamma, c, tol, max_steps):
     """Maximal-violating-pair SMO on the RBF kernel of the rows of ``x``.
 
-    Returns the duals, the bias, the step count and the final KKT gap. The
-    kernel starts as the one product ``x @ x.T`` that ``rbf_kernel(x, x,
-    gamma)`` starts from, and row t becomes kernel values, in place, the
-    first time the working set picks t. A step reads only rows i and j,
-    eta's three entries among them, so every entry read equals
-    ``rbf_kernel(x, x, gamma)``'s bit for bit, and a row never picked is
-    never exponentiated.
+    Returns the duals, the bias, the step count and the final KKT gap. Row
+    t of the kernel is ``rbf_kernel(x[t : t + 1], x, gamma)[0]``, formed the
+    first time the working set picks t and kept for the rest of the solve. A
+    step reads only rows i and j, eta's three entries among them, so a row
+    never picked is never formed and no n x n array is held.
 
     Only alpha_i and alpha_j move per step, so the index sets are kept as
     ``yup`` (y where alpha may move up, else -inf) and ``ylow`` (y where it
@@ -171,10 +159,7 @@ def smo_solve(x, y, gamma, c, tol, max_steps):
     round as numpy's float64 scalars do.
     """
     n = y.shape[0]
-    xx = np.einsum("ij,ij->i", x, x)
-    kernel = x @ x.T
-    formed = [False] * n
-    sq = np.empty((1, n))
+    rows = {}
     ys = y.tolist()
     alpha = [0.0] * n
     pos = y > 0.0
@@ -197,10 +182,10 @@ def smo_solve(x, y, gamma, c, tol, max_steps):
         if m_val - big_m <= tol:
             break
         for t in (i, j):
-            if not formed[t]:
-                _rbf_rows(kernel[t : t + 1], xx[t : t + 1], xx, gamma, sq)
-                formed[t] = True
-        eta = kernel.item(i, i) + kernel.item(j, j) - 2.0 * kernel.item(i, j)
+            if t not in rows:
+                rows[t] = rbf_kernel(x[t : t + 1], x, gamma)[0]
+        ki, kj = rows[i], rows[j]
+        eta = ki.item(i) + kj.item(j) - 2.0 * ki.item(j)
         if eta <= 0.0:
             eta = 1e-12
         # move along alpha_j += d, alpha_i -= y_i y_j d
@@ -220,8 +205,8 @@ def smo_solve(x, y, gamma, c, tol, max_steps):
             a, yt = alpha[t], ys[t]
             yup[t] = yt if (a < c if yt > 0.0 else a > 0.0) else -np.inf
             ylow[t] = yt if (a > 0.0 if yt > 0.0 else a < c) else np.inf
-        np.multiply(kernel[i], (-s * d) * yi, out=step)
-        np.multiply(kernel[j], d * yj, out=gi)
+        np.multiply(ki, (-s * d) * yi, out=step)
+        np.multiply(kj, d * yj, out=gi)
         step += gi
         u += step
         it += 1

@@ -82,8 +82,13 @@ def run_compare(
     if (cube is None) != (gt is None):
         missing = "gt" if gt is None else "cube"
         raise ConfigError(f"an in-memory cube and gt go together: {missing} is missing")
-    if os.path.exists(config.out) and not os.path.isdir(config.out):
+    near = config.out  # out's nearest existing ancestor, or out itself
+    while near and not os.path.exists(near):
+        near = os.path.dirname(near)
+    if near == config.out and not os.path.isdir(near):
         raise DataError(f"output directory {config.out} is an existing file")
+    if near and not os.path.isdir(near):
+        raise DataError(f"output directory {config.out} lies below the existing file {near}")
     if cube is None:
         qcube, gt = load_dataset(config)
     else:

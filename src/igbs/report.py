@@ -78,6 +78,7 @@ class RunConfig:
             (self.svm_tol > 0.0, f"svm_tol must be > 0, got {self.svm_tol}"),
             (self.svm_gamma is None or self.svm_gamma > 0.0,
              f"svm_gamma must be > 0, got {self.svm_gamma}"),
+            (self.out != "", "out must not be empty"),
         )
         for ok, message in checks:
             if not ok:

@@ -231,6 +231,12 @@ def rbf_kernel(a, b, gamma):
     return np.exp(-gamma * sq)
 
 
+def rbf_rows(x, gamma):
+    """The kernel smo_solve reads: the one-row kernel of each row of ``x``
+    against all of ``x``, stacked."""
+    return np.vstack([rbf_kernel(x[t : t + 1], x, gamma) for t in range(x.shape[0])])
+
+
 def smo_solve(kernel, y, c, tol, max_steps):
     """Maximal-violating-pair SMO that rebuilds the gradient and both index
     sets from scratch on every step."""

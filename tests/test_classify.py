@@ -161,7 +161,7 @@ class TestSvm:
 
     def test_pairs_match_the_oracle(self):
         # each pair trains on its two classes' rows, in pixel order, by the
-        # whole-array SMO on the whole-array kernel
+        # whole-array SMO on the kernel stacked from one-row kernels
         rng = np.random.default_rng(17)
         labels = rng.permutation(np.repeat([1, 2, 3, 4], [40, 25, 60, 15]))
         x = labels[:, None] / 5 + 0.15 * rng.normal(size=(labels.size, 5))
@@ -173,7 +173,7 @@ class TestSvm:
             xp = x[rows]
             y = np.where(labels[rows] == pair.positive, 1.0, -1.0)
             alpha, bias = brute.smo_solve(
-                brute.rbf_kernel(xp, xp, model.gamma), y,
+                brute.rbf_rows(xp, model.gamma), y,
                 classify.DEFAULT_C, classify.DEFAULT_TOL, classify.DEFAULT_MAX_ITER,
             )[:2]
             sv = alpha > 0.0
@@ -453,12 +453,13 @@ def binary_problem(x, seed):
 
 
 class TestSmoSolve:
-    """accel.smo_solve against the whole-array form in tests/brute.py."""
+    """accel.smo_solve against the whole-array form in tests/brute.py, on the
+    kernel stacked from one-row ``rbf_kernel`` calls."""
 
     def assert_matches_oracle(self, x, c=100.0, tol=1e-3, max_steps=1_000_000, seed=0, y=None):
         y = binary_problem(x, seed) if y is None else y
         gamma = 1.0 / x.shape[1]
-        want = brute.smo_solve(brute.rbf_kernel(x, x, gamma), y, c, tol, max_steps)
+        want = brute.smo_solve(brute.rbf_rows(x, gamma), y, c, tol, max_steps)
         same_solution(accel.smo_solve(x, y, gamma, c, tol, max_steps), want)
         return want
 
@@ -492,12 +493,20 @@ class TestSmoSolve:
 
     def test_separated_clusters_read_few_rows(self):
         # desk-shaped pair (k=6 level features): a few steps read at most
-        # two rows each, and the other rows stay products, never exponentiated
+        # two rows each, and the other rows are never formed
         rng = np.random.default_rng(6)
         y = np.where(np.arange(1000) % 2 == 0, 1.0, -1.0)
         x = 0.5 + 0.3 * y[:, None] + 0.1 * rng.normal(size=(1000, 6))
         x = np.clip(np.round(15 * x), 0, 15) / 15
         assert self.assert_matches_oracle(x, y=y)[2] < 50
+        # so the solve holds no 1000 x 1000 array, not even a product
+        tracemalloc.start()
+        try:
+            accel.smo_solve(x, y, 1.0 / 6, 100.0, 1e-3, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000 * 8 / 10
 
     @pytest.mark.parametrize("y, c", [((1.0,) * 5, 1.0), ((1.0, -1.0) * 2 + (1.0,), 0.0)])
     def test_empty_working_set_takes_no_step(self, y, c):
@@ -505,7 +514,7 @@ class TestSmoSolve:
         x = np.random.default_rng(1).normal(size=(5, 2))
         y = np.array(y)
         got = accel.smo_solve(x, y, 0.5, c, 1e-3, 100)
-        same_solution(got, brute.smo_solve(brute.rbf_kernel(x, x, 0.5), y, c, 1e-3, 100))
+        same_solution(got, brute.smo_solve(brute.rbf_rows(x, 0.5), y, c, 1e-3, 100))
         assert got[2] == 0
 
 

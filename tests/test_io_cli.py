@@ -304,13 +304,16 @@ class TestRunCompare:
             raise AssertionError("bands selected for an unwritable output")
 
         monkeypatch.setattr(pipeline, "greedy_select", no_select)
-        out = tmp_path / "out"
-        out.write_text("keep")
-        assert main(verb + ["--cube", base, "--gt", base + ".gt.raw", "--k", "3",
-                            "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "is an existing file" in err
-        assert out.read_text() == "keep"
+        afile = tmp_path / "out"
+        afile.write_text("keep")
+        for out, code, message in ((str(afile), 3, "is an existing file"),
+                                   (str(afile / "sub"), 3, "lies below the existing file"),
+                                   ("", 2, "out must not be empty")):
+            assert main(verb + ["--cube", base, "--gt", base + ".gt.raw", "--k", "3",
+                                "--out", out]) == code
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and message in err
+            assert afile.read_text() == "keep"
 
     def test_failed_method_recorded_others_proceed(self, small_dataset, tmp_path, monkeypatch):
         base, _, _ = small_dataset
