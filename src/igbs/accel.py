@@ -77,15 +77,13 @@ def rbf_kernel(a, b, gamma):
     aa, bb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
     out = a @ b.T
     step = max(1, RBF_BLOCK // max(out.shape[1], 1))
-    norms = np.empty((min(step, out.shape[0]), out.shape[1]))
     for s in range(0, out.shape[0], step):
         block = out[s : s + step]
-        sq = norms[: block.shape[0]]
-        np.add(aa[s : s + step, None], bb, out=sq)
-        block *= -2.0  # exact, so sq + block is sq - 2 a.b
-        block += sq
-        np.clip(block, 0.0, None, out=block)  # tiny negative round-off
-        block *= -gamma
+        block *= -2.0  # exact, so the norms plus block are |a|^2 + |b|^2 - 2 a.b
+        block += aa[s : s + step, None] + bb
+        np.maximum(block, 0.0, out=block)  # tiny negative round-off
+        with np.errstate(over="ignore"):  # an overflowing gamma * d gives exp(-inf) = 0
+            block *= -gamma
         np.exp(block, out=block)
     return out
 

@@ -117,7 +117,7 @@ def train_svm(
     labels = integers(labels, "SVM labels")
     if labels.shape != features.shape[:1]:
         raise DataError("features must be (n, d) with one label per row")
-    classes = np.unique(labels)
+    classes, ranks = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise DataError("training data must contain at least 2 classes")
     if gamma is None:
@@ -127,10 +127,10 @@ def train_svm(
         raise ConfigError("c, gamma and tol must all be finite and positive")
 
     pairs = []
-    for ci, cj in itertools.combinations(classes.tolist(), 2):
-        mask = (labels == ci) | (labels == cj)
+    for (ri, ci), (rj, cj) in itertools.combinations(enumerate(classes.tolist()), 2):
+        mask = (ranks == ri) | (ranks == rj)
         x = features[mask]
-        y = np.where(labels[mask] == ci, 1.0, -1.0)
+        y = np.where(ranks[mask] == ri, 1.0, -1.0)
         alpha, bias, iters, gap = accel.smo_solve(x, y, gamma, c, tol, DEFAULT_MAX_ITER)
         if not gap <= tol:  # a NaN gap has not converged either
             raise MethodError(

@@ -75,6 +75,7 @@ def class_mean_levels(classes: int, plane: int) -> np.ndarray:
     return ((idx >> plane) & 1) + 1
 
 
+@np.errstate(over="ignore", invalid="ignore")  # HyperCube refuses what overflows
 def generate_cube(spec: SynthSpec):
     """Returns (cube, ground truth, oracle metadata).
 

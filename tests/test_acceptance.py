@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import brute
-from igbs import accel, pipeline, raster
+from igbs import pipeline, raster
 from igbs.classify import (
     ConfusionMatrix,
     cohen_kappa,
@@ -48,17 +48,7 @@ def _series(symbols, alphabet=None):
     return DiscreteSeries(symbols=symbols, alphabet=alphabet)
 
 
-def _warm_kernels():
-    x = np.array([0, 1], dtype=np.int64)
-    accel.hist2d(x, x, 2, 2)
-    f = np.zeros((2, 2))
-    accel.rbf_kernel(f, f, 1.0)
-    accel.nn1_index(f, f)
-    accel.smo_solve(np.eye(2), np.array([1.0, -1.0]), 1.0, 1.0, 1e-3, 10)
-
-
 def test_criterion_1_estimator_oracle_equivalence():
-    _warm_kernels()
     rng = np.random.default_rng(1001)
     start = time.perf_counter()
     worst = 0.0
@@ -144,7 +134,6 @@ def test_criterion_4_greedy_vs_oracle():
 
 
 def test_criterion_5_synthetic_recovery():
-    _warm_kernels()
     start = time.perf_counter()
     spec = SynthSpec(
         rows=64, cols=64, bands=50, classes=4,

@@ -668,6 +668,19 @@ class TestCli:
         assert f"selected_bands = {selected}\n" in proc.stdout
         assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == digest
 
+    def test_overflowing_svm_gamma_prints_no_warning(self, small_dataset, tmp_path):
+        # gamma * d overflows to inf off the diagonal, where the kernel's
+        # limit is 0; a fresh process shows numpy's RuntimeWarning on stderr
+        base = small_dataset[0]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "igbs.cli", "compare", "--cube", base,
+             "--gt", base + ".gt.raw", "--k", "3", "--svm-gamma", "1e308",
+             "--out", str(tmp_path / "big")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_missing_data_exits_3(self, tmp_path):
         assert main([
             "select", "--method", "MIM", "--cube", str(tmp_path / "nope"),
@@ -721,6 +734,15 @@ class TestCli:
         pytest.param(["synth"], {"informative_bands": 5}, 2, id="synth-config-bands-not-list"),
         pytest.param(["synth"], {"rows": 8.7}, 2, id="synth-config-rows-fractional"),
         pytest.param(["synth", "--informative", "0,x"], None, 2, id="synth-informative-not-int"),
+        pytest.param(["synth", "--rows", "4", "--cols", "4", "--bands", "3", "--classes", "2",
+                      "--informative", "0", "--separation", "1e308"], None, 3,
+                     id="synth-separation-overflows"),
+        pytest.param(["synth", "--rows", "4", "--cols", "4", "--bands", "3", "--classes", "2",
+                      "--informative", "0", "--noise-sigma", "1e308"], None, 3,
+                     id="synth-noise-sigma-overflows"),
+        pytest.param(["synth", "--rows", "4", "--cols", "4", "--bands", "3", "--classes", "2",
+                      "--informative", "0", "--separation", "1e308", "--noise-sigma", "1e308"],
+                     None, 3, id="synth-both-overflow"),
         pytest.param(["render", "--levels", "1"], None, 2, id="render-levels-one"),
         pytest.param(["compare", "--k", "abc"], None, 2, id="k-not-int"),
         pytest.param(["compare", "--bogus", "1"], None, 2, id="unknown-flag"),
