@@ -66,15 +66,19 @@ def hist2d(x, y, ax, ay):
 RBF_BLOCK = 32_768
 
 
-def rbf_kernel(a, b, gamma):
+def rbf_kernel(a, b, gamma, bb=None):
     """exp(-gamma * max(0, (|a|^2 + |b|^2) - 2 a.b)) for every row pair.
 
-    ``a @ b.T`` stays one product (numpy hands ``a @ a.T`` to SYRK, whose
+    ``bb`` is ``np.einsum("ij,ij->i", b, b)``, the |b|^2 this forms when it
+    is not given; a caller that forms many kernels against one ``b`` passes
+    it. ``a @ b.T`` stays one product (numpy hands ``a @ a.T`` to SYRK, whose
     bits differ from GEMM's), and the rest is formed in place in it, one
     row block at a time. Every step works entry by entry, so a row gets the
     same bits whichever block it is formed in.
     """
-    aa, bb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+    aa = np.einsum("ij,ij->i", a, a)
+    if bb is None:
+        bb = np.einsum("ij,ij->i", b, b)
     out = a @ b.T
     step = max(1, RBF_BLOCK // max(out.shape[1], 1))
     for s in range(0, out.shape[0], step):
@@ -88,8 +92,9 @@ def rbf_kernel(a, b, gamma):
     return out
 
 
-# distance entries (query rows x train rows) screened per matrix product
-NN1_BLOCK = 1_000_000
+# matrix entries (query rows x train or support rows) formed per block of
+# query rows, by the 1-NN screen and by SVM prediction's kernel
+QUERY_BLOCK = 1_000_000
 
 
 def nn1_index(train, test):
@@ -123,7 +128,7 @@ def nn1_index(train, test):
     tt = np.einsum("ij,ij->i", train, train)
     reach = np.sqrt(tt.max(initial=0.0))
     g = (k + 4) * 2.0**-53 / (1.0 - (k + 4) * 2.0**-53)
-    step = max(1, NN1_BLOCK // max(n, 1))
+    step = max(1, QUERY_BLOCK // max(n, 1))
     for s in range(0, test.shape[0], step):
         block = test[s : s + step]
         screen = block @ train.T
@@ -145,9 +150,11 @@ def smo_solve(x, y, gamma, c, tol, max_steps):
 
     Returns the duals, the bias, the step count and the final KKT gap. Row
     t of the kernel is ``rbf_kernel(x[t : t + 1], x, gamma)[0]``, formed the
-    first time the working set picks t and kept for the rest of the solve. A
+    first time the working set picks t and kept for the rest of the solve;
+    the |x|^2 every row needs is formed once per solve and passed in. A
     step reads only rows i and j, eta's three entries among them, so a row
-    never picked is never formed and no n x n array is held.
+    never picked is never formed and no n x n array is held. A NaN gap (a
+    kernel that overflowed) ends the solve like a closed one.
 
     Only alpha_i and alpha_j move per step, so the index sets are kept as
     ``yup`` (y where alpha may move up, else -inf) and ``ylow`` (y where it
@@ -158,6 +165,7 @@ def smo_solve(x, y, gamma, c, tol, max_steps):
     """
     n = y.shape[0]
     rows = {}
+    xx = np.einsum("ij,ij->i", x, x)
     ys = y.tolist()
     alpha = [0.0] * n
     pos = y > 0.0
@@ -177,11 +185,11 @@ def smo_solve(x, y, gamma, c, tol, max_steps):
         if top == -np.inf or bottom == np.inf:
             break
         m_val, big_m = top, bottom
-        if m_val - big_m <= tol:
+        if not m_val - big_m > tol:
             break
         for t in (i, j):
             if t not in rows:
-                rows[t] = rbf_kernel(x[t : t + 1], x, gamma)[0]
+                rows[t] = rbf_kernel(x[t : t + 1], x, gamma, xx)[0]
         ki, kj = rows[i], rows[j]
         eta = ki.item(i) + kj.item(j) - 2.0 * ki.item(j)
         if eta <= 0.0:

@@ -80,23 +80,35 @@ def _features(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PairModel:
-    """One binary one-vs-one model; `positive` wins when the decision
-    ``rbf_kernel(x, sv_features, model.gamma) @ sv_coef + bias`` is > 0."""
+    """One binary one-vs-one model: `positive` wins where its decision is
+    > 0, `negative` where it is <= 0."""
 
     positive: int
     negative: int
-    sv_features: np.ndarray
-    sv_coef: np.ndarray  # alpha_i * y_i over the support vectors
-    alphas: np.ndarray  # duals over the support vectors, in (0, C]
+    alphas: np.ndarray  # duals over the pair's support vectors, in (0, C]
     bias: float
 
 
 @dataclass(frozen=True, eq=False)
 class SvmModel:
+    """One-vs-one RBF SVM that holds each support row once.
+
+    Rows ``bounds[r]:bounds[r + 1]`` of ``sv_rows`` are the support rows of
+    class rank r, in training-row order. ``coef[u, s]`` is row u's
+    alpha * y in the pair of its class and class rank s, and 0 where u is no
+    support vector of that pair. The decision of the pair of ranks (i, j)
+    is the kernel against class i's rows times their ``coef`` column j,
+    plus the kernel against class j's rows times their column i, plus the
+    pair's bias.
+    """
+
     classes: np.ndarray
     pairs: list
     gamma: float
     n_features: int
+    sv_rows: np.ndarray
+    bounds: np.ndarray
+    coef: np.ndarray
 
 
 def train_svm(
@@ -127,6 +139,7 @@ def train_svm(
         raise ConfigError("c, gamma and tol must all be finite and positive")
 
     pairs = []
+    coef = np.zeros((features.shape[0], classes.size))
     for (ri, ci), (rj, cj) in itertools.combinations(enumerate(classes.tolist()), 2):
         mask = (ranks == ri) | (ranks == rj)
         x = features[mask]
@@ -138,33 +151,65 @@ def train_svm(
                 f"gap {gap:.3e} after {iters} steps"
             )
         sv = alpha > 0.0
-        pairs.append(PairModel(
-            positive=ci,
-            negative=cj,
-            sv_features=x[sv],
-            sv_coef=alpha[sv] * y[sv],
-            alphas=alpha[sv],
-            bias=float(bias),
-        ))
+        # a class ri row keeps its alpha * y in column rj, a class rj row in column ri
+        coef[np.flatnonzero(mask)[sv], np.where(y[sv] > 0.0, rj, ri)] = alpha[sv] * y[sv]
+        pairs.append(PairModel(positive=ci, negative=cj, alphas=alpha[sv], bias=float(bias)))
+    # the support rows, grouped by class rank in training-row order
+    used = np.flatnonzero(coef.any(axis=1))
+    used = used[np.argsort(ranks[used], kind="stable")]
     return SvmModel(
-        classes=classes, pairs=pairs, gamma=gamma, n_features=features.shape[1]
+        classes=classes,
+        pairs=pairs,
+        gamma=gamma,
+        n_features=features.shape[1],
+        sv_rows=features[used],
+        bounds=np.searchsorted(ranks[used], np.arange(classes.size + 1)),
+        coef=coef[used],
     )
 
 
 def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
-    """One-vs-one majority vote; vote ties go to the lowest class id."""
+    """One-vs-one majority vote; vote ties go to the lowest class id.
+
+    The query rows are spread evenly over the fewest blocks whose kernel
+    against ``model.sv_rows`` holds at most ``accel.QUERY_BLOCK`` entries,
+    and no block holds a single row, even where two rows exceed that: a
+    one-row product goes through GEMV, whose bits differ from GEMM's. Each
+    block forms that one kernel and one product per class block of it with
+    the class's ``coef`` rows, which gives every pair's share from that
+    class's support rows.
+    """
     features = _features(features, "SVM features")
     if features.shape[1] != model.n_features:
         raise DataError(
             f"feature dimension {features.shape[1]} does not match model ({model.n_features})"
         )
-    votes = np.zeros((features.shape[0], model.classes.size), dtype=np.int64)
-    col = {int(cls): i for i, cls in enumerate(model.classes)}
-    for pair in model.pairs:
-        dec = accel.rbf_kernel(features, pair.sv_features, model.gamma) @ pair.sv_coef + pair.bias
-        votes[dec > 0, col[pair.positive]] += 1
-        votes[dec <= 0, col[pair.negative]] += 1
-    return model.classes[np.argmax(votes, axis=1)]
+    n, n_cls = features.shape[0], model.classes.size
+    first = np.searchsorted(model.classes, [p.positive for p in model.pairs])
+    second = np.searchsorted(model.classes, [p.negative for p in model.pairs])
+    bias = np.array([p.bias for p in model.pairs])
+    # the share array below holds n_cls^2 entries per row, the kernel one per support row
+    per_block = max(1, accel.QUERY_BLOCK // max(model.sv_rows.shape[0], n_cls * n_cls))
+    blocks = max(1, min(-(-n // per_block), n // 2))
+    edges = (np.arange(blocks + 1) * n // blocks).tolist()
+    bounds = model.bounds.tolist()
+    out = np.empty(n, dtype=np.int64)
+    for s, e in zip(edges[:-1], edges[1:]):
+        k = accel.rbf_kernel(features[s:e], model.sv_rows, model.gamma)
+        # share[r, :, t]: class r's support rows' term in the pair (r, t)
+        b = e - s
+        share = np.empty((n_cls, b, n_cls))
+        for r in range(n_cls):
+            lo, hi = bounds[r], bounds[r + 1]
+            np.matmul(k[:, lo:hi], model.coef[lo:hi], out=share[r])
+        del k  # the next block's kernel is formed beside no other
+        dec = share[first, :, second] + share[second, :, first] + bias[:, None]
+        # each pair's vote per row as a class rank; a NaN decision votes for
+        # no class (rank n_cls), as it does in the per-pair form
+        won = np.where(dec > 0.0, first[:, None], np.where(dec <= 0.0, second[:, None], n_cls))
+        votes = np.bincount((won * b + np.arange(b)).ravel(), minlength=(n_cls + 1) * b)
+        out[s:e] = votes.reshape(n_cls + 1, b)[:n_cls].argmax(axis=0)
+    return model.classes[out]
 
 
 def knn_predict(
@@ -244,15 +289,17 @@ def evaluate(pred, truth, classes=None) -> EvalReport:
     truth = integers(truth, "true labels")
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size < 1:
         raise DataError("pred and truth must be equal-length nonempty 1-D series")
+    both = np.concatenate([truth, pred])
     if classes is None:
-        classes = np.unique(np.concatenate([truth, pred]))
+        classes, ranks = np.unique(both, return_inverse=True)
     else:
         classes = integers(classes, "classes")
         if classes.ndim != 1 or (np.diff(classes) <= 0).any():
             raise DataError("classes must be a strictly increasing 1-D list")
-        if not np.isin(np.concatenate([truth, pred]), classes).all():
+        if not np.isin(both, classes).all():
             raise DataError("labels outside the declared class list")
-    cell = np.searchsorted(classes, truth) * classes.size + np.searchsorted(classes, pred)
+        ranks = np.searchsorted(classes, both)
+    cell = ranks[: truth.size] * classes.size + ranks[truth.size :]
     counts = np.bincount(cell, minlength=classes.size**2).reshape(classes.size, -1)
     cm = ConfusionMatrix(classes=classes, counts=counts)
     return EvalReport(

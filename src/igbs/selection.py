@@ -18,9 +18,10 @@ relevance for MIM) and picks with ``np.argmax``, whose first maximum is the
 lowest band index, so score ties go to the lowest band. One stacked count
 per step gives every candidate's MI against the newest pick (MIFS, MRMR)
 or the (labels, estimate) pair (IGBS), each with the bits of one
-``mutual_information`` call. ``SelectionState.select`` keeps the selected
-rows' exact integer sum, from which each estimated class map is derived
-where it is scored.
+``mutual_information`` call. MIFS and MRMR add the newest pick's MI to a
+running redundancy sum per band, in selection order.
+``SelectionState.select`` keeps the selected rows' exact integer sum, from
+which each estimated class map is derived where it is scored.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class SelectionState:
     relevance: np.ndarray
     band_entropy: np.ndarray  # H(band) of every row of the matrix
     band_sum: np.ndarray  # int64 sum of the selected rows of the matrix
+    redundancy: np.ndarray  # summed MI with the first `folded` selected bands, per band
+    folded: int = 0
     selected: list[int] = field(default_factory=list)
     remaining: list[int] = field(default_factory=list)
     _pair_mi: dict = field(default_factory=dict, repr=False)
@@ -130,9 +133,18 @@ def build_estimated_gt(
 
 
 def _redundancy(cands, state: SelectionState) -> np.ndarray:
-    """Each candidate's MI with the selected bands, summed in selection order."""
-    return np.array([sum(state.pair_mi(c, s) for s in state.selected) for c in cands],
-                    dtype=np.float64)
+    """Each candidate's MI with the selected bands, summed in selection order.
+
+    The sums run on the state: each band selected since the last call is
+    folded in once, with one stacked count against every remaining band, so
+    a step counts and adds only its newest band's MI. ``cands`` are
+    remaining bands.
+    """
+    for band in state.selected[state.folded:]:
+        state.fill_pair_mi(band, state.remaining)
+        state.redundancy[state.remaining] += [state.pair_mi(c, band) for c in state.remaining]
+    state.folded = len(state.selected)
+    return state.redundancy[cands]
 
 
 def score_mifs(cands, state: SelectionState, beta: float = DEFAULT_BETA) -> np.ndarray:
@@ -177,6 +189,7 @@ def init_state(qcube: QuantizedCube, gt: GroundTruth) -> SelectionState:
         relevance=relevance_scores(series, labels),
         band_entropy=np.array([entropy(s) for s in series]),
         band_sum=np.zeros(matrix.shape[1], dtype=np.int64),
+        redundancy=np.zeros(matrix.shape[0]),
         remaining=list(range(qcube.bands)),
     )
 
@@ -188,7 +201,6 @@ def _step_scores(method: str, state: SelectionState, beta: float, lam: float) ->
         return state.relevance[cands]
     if method == "IGBS":
         return score_igbs(cands, state, lam)
-    state.fill_pair_mi(state.selected[-1], cands)
     if method == "MIFS":
         return score_mifs(cands, state, beta)
     return score_mrmr(cands, state)

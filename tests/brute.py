@@ -4,7 +4,8 @@ The estimators first recompute probabilities from scratch with dict-based
 tables and the direct textbook sums, deliberately avoiding the package's
 histogram/entropy-difference code paths. The one-pair histogram estimators,
 the quantize expression and the SVM inner loops further down are the plain
-forms the package's stacked and in-place code must match bit for bit.
+forms the package's stacked and in-place code must match bit for bit; the
+per-pair SVM vote is the form whose predictions the package's must match.
 """
 
 import math
@@ -235,6 +236,19 @@ def rbf_rows(x, gamma):
     """The kernel smo_solve reads: the one-row kernel of each row of ``x``
     against all of ``x``, stacked."""
     return np.vstack([rbf_kernel(x[t : t + 1], x, gamma) for t in range(x.shape[0])])
+
+
+def predict(classes, pairs, gamma, x):
+    """One-vs-one vote with one kernel per class pair against that pair's
+    own support vectors; ``pairs`` holds (positive, negative, support rows,
+    alpha * y, bias) per pair. Vote ties go to the lowest class id."""
+    votes = np.zeros((x.shape[0], classes.size), dtype=np.int64)
+    col = {int(cls): i for i, cls in enumerate(classes)}
+    for positive, negative, sv_features, sv_coef, bias in pairs:
+        dec = rbf_kernel(x, sv_features, gamma) @ sv_coef + bias
+        votes[dec > 0, col[positive]] += 1
+        votes[dec <= 0, col[negative]] += 1
+    return classes[np.argmax(votes, axis=1)]
 
 
 def smo_solve(kernel, y, c, tol, max_steps):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -33,6 +35,19 @@ def grid_gt(class_sizes):
     return GroundTruth(labels=labels.reshape(1, -1))
 
 
+def new_modules(code):
+    """(exit code, stderr, stdout) of ``code`` run in a fresh process after
+    ``import igbs.classify``, where stdout lists the modules it imported; a
+    fresh process, so a module imported lazily by an earlier test does not
+    hide one."""
+    code = "import sys\nimport numpy as np\nimport igbs.classify\nbefore = set(sys.modules)\n" + code
+    code += "\nprint(sorted(set(sys.modules) - before))\n"
+    src = os.path.dirname(os.path.dirname(classify.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stderr, proc.stdout
+
+
 def two_clusters(n_per=20, centers=((0.0, 0.0), (5.0, 5.0)), spread=0.1, seed=0):
     rng = np.random.default_rng(seed)
     xs, ys = [], []
@@ -40,6 +55,36 @@ def two_clusters(n_per=20, centers=((0.0, 0.0), (5.0, 5.0)), spread=0.1, seed=0)
         xs.append(np.asarray(center) + spread * rng.normal(size=(n_per, 2)))
         ys.append(np.full(n_per, cls))
     return np.vstack(xs), np.concatenate(ys)
+
+
+@pytest.fixture(scope="module")
+def oracle_scene():
+    """(x, labels, model, oracle) for 4 classes on level features: the
+    trained model and, per class pair, (positive, negative, the pair's
+    support rows, their duals, their y, bias) from the whole-array SMO on
+    the pair's rows in pixel order."""
+    rng = np.random.default_rng(17)
+    labels = rng.permutation(np.repeat([1, 2, 3, 4], [40, 25, 60, 15]))
+    x = labels[:, None] / 5 + 0.15 * rng.normal(size=(labels.size, 5))
+    x = np.clip(np.round(15 * x), 0, 15) / 15
+    model = train_svm(x, labels)
+    oracle = []
+    for pos, neg in itertools.combinations((1, 2, 3, 4), 2):
+        rows = np.flatnonzero(np.isin(labels, [pos, neg]))
+        y = np.where(labels[rows] == pos, 1.0, -1.0)
+        alpha, bias = brute.smo_solve(
+            brute.rbf_rows(x[rows], model.gamma), y,
+            classify.DEFAULT_C, classify.DEFAULT_TOL, classify.DEFAULT_MAX_ITER,
+        )[:2]
+        sv = alpha > 0.0
+        oracle.append((pos, neg, rows[sv], alpha[sv], y[sv], bias))
+    return x, labels, model, oracle
+
+
+def assert_predicts_as_oracle(model, x, oracle, queries):
+    pairs = [(pos, neg, x[rows], alpha * y, bias) for pos, neg, rows, alpha, y, bias in oracle]
+    expected = brute.predict(model.classes, pairs, model.gamma, queries)
+    assert predict(model, queries).tolist() == expected.tolist()
 
 
 class TestStratifiedSplit:
@@ -119,22 +164,13 @@ class TestSvm:
         assert peak < 0.8 * gram
 
     def test_training_imports_no_module(self):
-        # a fresh process, so a module imported lazily by an earlier test
-        # does not hide one; numpy 1.24 imports numpy.ma with numpy, so
-        # there it passes whatever train_svm calls
+        # numpy 1.24 imports numpy.ma with numpy, so there it passes
+        # whatever train_svm calls
         code = (
-            "import sys\n"
-            "import numpy as np\n"
-            "import igbs.classify\n"
-            "before = set(sys.modules)\n"
             "x = np.arange(18.0).reshape(9, 2)\n"
-            "igbs.classify.train_svm(x, np.repeat([1, 2, 3], 3), gamma=0.5)\n"
-            "print(sorted(set(sys.modules) - before))\n"
+            "igbs.classify.train_svm(x, np.repeat([1, 2, 3], 3), gamma=0.5)"
         )
-        src = os.path.dirname(os.path.dirname(classify.__file__))
-        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+        assert new_modules(code) == (0, "", "[]\n")
 
     def test_separable_clusters_zero_training_errors(self):
         x, y = two_clusters()
@@ -159,7 +195,8 @@ class TestSvm:
         pair = model.pairs[0]
         assert (pair.alphas >= 0).all()
         assert (pair.alphas <= c).all()
-        assert float(pair.sv_coef.sum()) == pytest.approx(0.0, abs=1e-9)
+        # the sum of alpha * y over the one pair's support vectors
+        assert float(model.coef.sum()) == pytest.approx(0.0, abs=1e-9)
 
     def test_training_is_deterministic(self):
         x, y = two_clusters(spread=1.0, seed=5)
@@ -181,27 +218,23 @@ class TestSvm:
         assert len(model.pairs) == 6
         assert (predict(model, x) == y).all()
 
-    def test_pairs_match_the_oracle(self):
+    def test_pairs_match_the_oracle(self, oracle_scene):
         # each pair trains on its two classes' rows, in pixel order, by the
         # whole-array SMO on the kernel stacked from one-row kernels
-        rng = np.random.default_rng(17)
-        labels = rng.permutation(np.repeat([1, 2, 3, 4], [40, 25, 60, 15]))
-        x = labels[:, None] / 5 + 0.15 * rng.normal(size=(labels.size, 5))
-        x = np.clip(np.round(15 * x), 0, 15) / 15
-        model = train_svm(x, labels)
+        x, labels, model, oracle = oracle_scene
         assert len(model.pairs) == 6
-        for pair in model.pairs:
-            rows = np.isin(labels, [pair.positive, pair.negative])
-            xp = x[rows]
-            y = np.where(labels[rows] == pair.positive, 1.0, -1.0)
-            alpha, bias = brute.smo_solve(
-                brute.rbf_rows(xp, model.gamma), y,
-                classify.DEFAULT_C, classify.DEFAULT_TOL, classify.DEFAULT_MAX_ITER,
-            )[:2]
-            sv = alpha > 0.0
-            assert pair.alphas.tobytes() == alpha[sv].tobytes()
-            assert pair.sv_features.tobytes() == xp[sv].tobytes()
+        expected = np.zeros((labels.size, 4))  # alpha * y at (row, the other class's rank)
+        for pair, (pos, neg, rows, alpha, y, bias) in zip(model.pairs, oracle):
+            assert (pair.positive, pair.negative) == (pos, neg)
+            assert pair.alphas.tobytes() == alpha.tobytes()
             assert pair.bias.hex() == float(bias).hex()
+            expected[rows, np.where(y > 0.0, neg, pos) - 1] = alpha * y
+        # each support row once, grouped by class, in row order within it
+        used = [np.flatnonzero(expected.any(axis=1) & (labels == cls)) for cls in (1, 2, 3, 4)]
+        assert sum(u.size for u in used) < sum(p.alphas.size for p in model.pairs)
+        assert model.bounds.tolist() == np.cumsum([0] + [u.size for u in used]).tolist()
+        assert model.sv_rows.tobytes() == x[np.concatenate(used)].tobytes()
+        assert model.coef.tobytes() == expected[np.concatenate(used)].tobytes()
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
@@ -229,6 +262,14 @@ class TestSvm:
         x, y = two_clusters()
         with pytest.raises(MethodError, match="gap nan"):
             train_svm(x, y)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_overflowing_features_stop_on_a_nan_gap(self):
+        # |x|^2 overflows, so the kernel and the gap are NaN; SMO ran all
+        # DEFAULT_MAX_ITER steps before it stopped on them
+        x = np.array([[0.0], [1e200], [2e200], [3e200]])
+        with pytest.raises(MethodError, match=r"gap nan after [0-2] steps"):
+            train_svm(x, np.array([1, 1, 2, 2]))
 
     @pytest.mark.parametrize("param", ["c", "gamma", "tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
@@ -271,21 +312,13 @@ class TestPredictRules:
         expected = pair.positive if pair.bias > 0 else pair.negative
         assert predict(model, far)[0] == expected
         # the kernel really has vanished at that distance
-        kernel_term = accel.rbf_kernel(far, pair.sv_features, model.gamma) @ pair.sv_coef
+        kernel_term = accel.rbf_kernel(far, model.sv_rows, model.gamma) @ model.coef.sum(axis=1)
         assert kernel_term[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_vote_tie_goes_to_lowest_class(self):
         # bias-only pairs (no support vectors) produce a 2-2-2-0 vote split
         def pair(pos, neg, bias):
-            empty = np.zeros((0, 2))
-            return PairModel(
-                positive=pos,
-                negative=neg,
-                sv_features=empty,
-                sv_coef=np.zeros(0),
-                alphas=np.zeros(0),
-                bias=bias,
-            )
+            return PairModel(positive=pos, negative=neg, alphas=np.zeros(0), bias=bias)
 
         model = SvmModel(
             classes=np.array([1, 2, 3, 4]),
@@ -299,8 +332,70 @@ class TestPredictRules:
             ],
             gamma=1.0,
             n_features=2,
+            sv_rows=np.zeros((0, 2)),
+            bounds=np.zeros(5, dtype=np.int64),
+            coef=np.zeros((0, 4)),
         )
         assert predict(model, np.zeros((1, 2)))[0] == 1
+
+    def test_votes_match_the_oracle(self, oracle_scene):
+        x, labels, model, oracle = oracle_scene
+        queries = np.vstack([x, np.random.default_rng(3).random((200, x.shape[1]))])
+        assert_predicts_as_oracle(model, x, oracle, queries)
+
+    @pytest.mark.parametrize("n", [14, 15, 17, 1, 0])
+    def test_queries_cross_block_boundaries(self, oracle_scene, monkeypatch, n):
+        # 7 rows a block: n rows spread over ceil(n / 7) blocks of 2 to 7
+        # rows, so the tail of 15 and 17 is no one-row block
+        x, labels, model, oracle = oracle_scene
+        assert model.sv_rows.shape[0] > 16  # more support rows than ranks squared
+        monkeypatch.setattr(accel, "QUERY_BLOCK", 7 * model.sv_rows.shape[0])
+        kernel, sizes = accel.rbf_kernel, []
+        monkeypatch.setattr(accel, "rbf_kernel", lambda a, *r: sizes.append(len(a)) or kernel(a, *r))
+        queries = np.random.default_rng(4).random((n, x.shape[1]))
+        assert_predicts_as_oracle(model, x, oracle, queries)
+        assert sum(sizes) == n and len(sizes) == max(1, -(-n // 7))
+        assert n < 2 or 2 <= min(sizes) <= max(sizes) <= 7
+
+    def test_pair_without_support_vectors(self, oracle_scene):
+        # pair (1, 2) keeps only its bias: its rows' coefficients in it are 0
+        x, labels, model, oracle = oracle_scene
+        b0, b1, b2 = model.bounds[:3]
+        coef = model.coef.copy()
+        coef[b0:b1, 1] = 0.0
+        coef[b1:b2, 0] = 0.0
+        first = dataclasses.replace(model.pairs[0], alphas=np.zeros(0))
+        model = dataclasses.replace(model, pairs=[first, *model.pairs[1:]], coef=coef)
+        pos, neg, rows, alpha, y, bias = oracle[0]
+        oracle = [(pos, neg, rows[:0], alpha[:0], y[:0], bias), *oracle[1:]]
+        queries = np.vstack([x, np.random.default_rng(5).random((200, x.shape[1]))])
+        assert_predicts_as_oracle(model, x, oracle, queries)
+
+    def test_memory_is_under_two_blocks(self):
+        # 1,600 support rows and 8,000 queries: one kernel over all of them
+        # would take 102 MB, 12.8 blocks of accel.QUERY_BLOCK float64 entries
+        rng = np.random.default_rng(6)
+        n_sv, half = 1600, 800
+        coef = np.zeros((n_sv, 2))
+        coef[:half, 1], coef[half:, 0] = 1.0, -1.0
+        model = SvmModel(
+            classes=np.array([1, 2]),
+            pairs=[PairModel(positive=1, negative=2, alphas=np.ones(n_sv), bias=0.0)],
+            gamma=1.0,
+            n_features=2,
+            sv_rows=np.vstack([rng.random((half, 2)), rng.random((half, 2)) + 0.5]),
+            bounds=np.array([0, half, n_sv]),
+            coef=coef,
+        )
+        queries = rng.random((8000, 2))
+        tracemalloc.start()
+        try:
+            predict(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's kernel at a time; two held at once read over 2
+        assert peak < 2 * accel.QUERY_BLOCK * 8
 
     def test_dimension_mismatch_rejected(self):
         x, y = two_clusters()
@@ -441,7 +536,7 @@ class TestNn1Index:
     def test_queries_cross_block_boundaries(self):
         rng = np.random.default_rng(4)
         train = scaled_levels(rng, (2000, 3), 16)
-        rows = 2 * (accel.NN1_BLOCK // 2000) + 7  # two full blocks and a partial one
+        rows = 2 * (accel.QUERY_BLOCK // 2000) + 7  # two full blocks and a partial one
         self.assert_matches_oracle(train, scaled_levels(rng, (rows, 3), 16))
 
     def test_one_train_row(self):
@@ -584,8 +679,21 @@ class TestRbfKernel:
         self.assert_matches_oracle(b, a)
         self.assert_matches_oracle(a, a)
 
+    def test_given_row_norms_keep_the_bits(self):
+        # smo_solve forms |x|^2 once per pair and passes it to every row
+        x = scaled_levels(np.random.default_rng(8), (60, 80), 16)
+        xx = np.einsum("ij,ij->i", x, x)
+        for t in (0, 17, 59):
+            got = accel.rbf_kernel(x[t : t + 1], x, 1.0 / 80, xx)
+            assert got.tobytes() == brute.rbf_kernel(x[t : t + 1], x, 1.0 / 80).tobytes()
+
 
 class TestMetrics:
+    def test_default_classes_import_no_module(self):
+        # a bare np.unique imports numpy.ma lazily on numpy 2.x; numpy 1.24
+        # imports it with numpy, so there it passes whatever evaluate calls
+        code = "igbs.classify.evaluate(np.array([1, 2]), np.array([2, 2]))"
+        assert new_modules(code) == (0, "", "[]\n")
     def test_perfect_prediction(self):
         x = np.array([1, 2, 3, 1, 2, 3])
         report = evaluate(x, x)

@@ -168,6 +168,28 @@ class TestScores:
         with pytest.raises(ConfigError):
             score_mrmr([0], state)
 
+    def test_interleaved_scores_sum_in_selection_order(self):
+        # selects and scores in any interleaving: each redundancy is the sum
+        # of one-pair MIs over the selected bands, in selection order
+        qcube, gt = random_instance(np.random.default_rng(11), bands=9, n=300, levels=16)
+        state = init_state(qcube, gt)
+
+        def redundancy(c):
+            return sum(brute.mutual_information(row_series(state, c), row_series(state, s))
+                       for s in state.selected)
+
+        for picks in ([4], [1, 7], [], [0]):
+            for band in picks:
+                state.select(band)
+            cands, n = state.remaining, len(state.selected)
+            for _ in range(2):  # scoring again folds no band twice
+                mifs = [float(state.relevance[c]) - 0.75 * redundancy(c) for c in cands]
+                assert [v.hex() for v in score_mifs(cands, state, beta=0.75)] == [
+                    v.hex() for v in mifs]
+                mrmr = [float(state.relevance[c]) - redundancy(c) / n for c in cands[::2]]
+                assert [v.hex() for v in score_mrmr(cands[::2], state)] == [
+                    v.hex() for v in mrmr]
+
     def test_igbs_requires_selected(self):
         qcube, gt = make_instance([[0, 1], [1, 1]], [1, 2])
         state = init_state(qcube, gt)
@@ -306,6 +328,22 @@ class TestGreedy:
         greedy_select(qcube, gt, method, k=5)
         # IGBS: one map per step, of the 1, 2, 3 and 4 bands selected so far
         assert calls == ([1, 2, 3, 4] if method == "IGBS" else [])
+
+    @pytest.mark.parametrize("method", ["MIFS", "MRMR"])
+    def test_one_pair_mi_lookup_per_remaining_band_and_step(self, monkeypatch, method):
+        # each step adds the newest pick's MI to every remaining band's sum;
+        # summing over all selected bands at every step grew as k^2
+        lookup = SelectionState.pair_mi
+        calls = []
+
+        def counted(state, i, j):
+            calls.append((i, j))
+            return lookup(state, i, j)
+
+        monkeypatch.setattr(SelectionState, "pair_mi", counted)
+        qcube, gt = random_instance(np.random.default_rng(12), bands=12)
+        greedy_select(qcube, gt, method, k=8)
+        assert len(calls) == sum(12 - step for step in range(1, 8))
 
     def test_igbs_steps_replayable(self):
         rng = np.random.default_rng(6)
