@@ -9,9 +9,10 @@ floating-point distance ``((q - t)**2).sum()`` is smallest; at an exact
 real-valued tie that rounding can favour a higher index (see the README's
 determinism paragraph).
 
-``nn1_index`` screens with one matrix product per block of query rows and
-computes that exact distance expression only for the few train rows the
-screen cannot rule out, so its answer is the one the plain broadcast gives.
+``nn1_index`` screens with one float32 matrix product per block of query
+rows; where the screen leaves a query more than one train row it cannot
+rule out, it computes that exact distance expression for those rows only,
+so its answer is the one the plain broadcast gives.
 ``rbf_kernel`` forms everything after the matrix product in place, and
 ``smo_solve`` takes a pair's features, not a kernel: every kernel row it
 reads is a row of ``rbf_kernel``, formed on the step that first reads it,
@@ -101,47 +102,69 @@ def nn1_index(train, test):
     """First argmin over train rows of ``((q - t)**2).sum()`` for every
     query row q of ``test``; inputs are finite (n, k) and (m, k) arrays.
 
-    Screen: S_t = |t|^2 - 2 q.t from one matrix product per block; it ranks
-    train rows like the distance, since d_t = |q - t|^2 = |q|^2 + S_t.
-    Refine: every train row with S_t <= min S + slack is a candidate, and
-    the candidates' distances are computed with the broadcast expression in
-    increasing index order, so the first argmin among them is bit for bit
-    the first argmin over all train rows, provided the winner t* is a
-    candidate. The slack guarantees it. With u = 2^-53, g_n = n u / (1 - n u)
-    and R = |q| + max|t| (so every d_t <= R^2):
-    - broadcast: each term (q_i - t_i)^2 carries three roundings and any
-      summation order adds g_(k-1), so |D_t - d_t| <= g_(k+2) d_t;
-    - screen: |t|^2 and q.t are k-term dot products in any order, with or
-      without FMA, within g_k |t|^2 and g_k |q||t|; the final subtraction
-      adds u, so |S'_t - S_t| <= g_(k+1) R^2;
+    Screen: S_t = |t|^2 - 2 q.t, for a block of query rows at once, from
+    one float32 matrix product of the rows [q, 1] against the columns
+    [-2 t; |t|^2], formed from the train rows once; it ranks train rows like
+    the distance, since d_t = |q - t|^2 = |q|^2 + S_t. Every train row with
+    S_t <= min S + slack is a candidate, and the screen's first argmin is
+    one. A query whose second smallest S_t is above the limit has no other
+    candidate and takes that argmin; the rest are refined: their
+    candidates' distances are computed with the float64 broadcast
+    expression in increasing index order, so the first argmin among them is
+    bit for bit the first argmin over all train rows, provided the winner
+    t* is a candidate. The slack guarantees it. With u = 2^-24,
+    g_n = n u / (1 - n u), R = |q| + max|t| (so every d_t <= R^2) and
+    a = 2^-126, float32's smallest normal:
+    - broadcast: |D_t - d_t| <= g'_(k+2) d_t with float64's g', below
+      u R^2 / 2;
+    - screen: q, -2t and |t|^2 (formed in float64) each round once to
+      float32, within u relative or, below a, 2^-150 absolute, and the
+      product is a (k+1)-term float32 dot product in any order, with or
+      without FMA, so |S'_t - S_t| <= g_(k+3) R^2 + E. E, the error of
+      subnormal inputs and of products that underflow, is below
+      2 (k + 1)(R + 1) a even where a BLAS flushes them to zero;
     - with m the screen's argmin and D_t* <= D_m:
-      S'_t* - S'_m <= d_t* - d_m + 2 g_(k+1) R^2
-                   <= g_(k+2) (d_t* + d_m) + 2 g_(k+1) R^2 < 4 g_(k+2) R^2.
-    The slack 4 g_(k+4) R^2 leaves about 8 u R^2 for the rounding of R, of
-    the slack itself and of min S + slack; k * tiny covers the absolute
-    error of products that underflow. Where R^2 overflows, the slack and the
-    limit are inf or NaN, which the ``~(S > limit)`` test reads as keeping
-    every train row, so the refine is then the full broadcast.
+      S'_t* - S'_m <= d_t* - d_m + 2 g_(k+3) R^2 + 2E < 3 g_(k+4) R^2 + 2E.
+    The slack 4 g_(k+4) R^2 + 4 (k + 1)(R + 1) a leaves g_(k+4) R^2 for the
+    float64 rounding of R, of the slack and of min S + slack, and the limit
+    is rounded upward to float32. Where 4 R^2 exceeds float32's range, the
+    screen could overflow, and the limit is inf: every train row is kept, so
+    the refine is then the full broadcast.
     """
     n, k = train.shape
     out = np.empty(test.shape[0], dtype=np.int64)
     tt = np.einsum("ij,ij->i", train, train)
     reach = np.sqrt(tt.max(initial=0.0))
-    g = (k + 4) * 2.0**-53 / (1.0 - (k + 4) * 2.0**-53)
+    g = (k + 4) * 2.0**-24 / (1.0 - (k + 4) * 2.0**-24)
+    f32 = np.finfo(np.float32)
+    # an overflow in float32 shows only in rows whose limit is inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.vstack([-2.0 * train.T, tt]).astype(np.float32)
     step = max(1, QUERY_BLOCK // max(n, 1))
     for s in range(0, test.shape[0], step):
         block = test[s : s + step]
-        screen = block @ train.T
-        screen *= -2.0
-        screen += tt
-        norm = np.sqrt(np.einsum("ij,ij->i", block, block))
-        slack = 4.0 * g * (norm + reach) ** 2 + k * np.finfo(np.float64).tiny
-        rows, cand = np.nonzero(~(screen > (screen.min(axis=1) + slack)[:, None]))
-        d = ((block[rows] - train[cand]) ** 2).sum(axis=1)
+        rows = np.arange(block.shape[0])
+        reach_q = np.sqrt(np.einsum("ij,ij->i", block, block)) + reach
+        slack = 4.0 * g * reach_q**2 + 4.0 * (k + 1) * (reach_q + 1.0) * float(f32.tiny)
+        query = np.ones((block.shape[0], k + 1), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            query[:, :k] = block
+            screen = query @ weights
+            first = screen.argmin(axis=1)
+            low = screen[rows, first]
+            limit = np.where(4.0 * reach_q**2 <= float(f32.max), low + slack, np.inf)
+            limit32 = limit.astype(np.float32)
+            up = limit32 < limit  # rounded down by the conversion
+            limit32[up] = np.nextafter(limit32[up], np.float32(np.inf))
+            screen[rows, first] = np.inf
+            many = np.flatnonzero(~(screen.min(axis=1) > limit32))
+            screen[rows, first] = low
+            pairs, cand = np.nonzero(~(screen[many] > limit32[many, None]))
+        out[s : s + step] = first
+        d = ((block[many[pairs]] - train[cand]) ** 2).sum(axis=1)
         # pairs come sorted by row, then by index; a stable sort on distance
         # within each row puts the lowest-index nearest candidate first
-        first = np.lexsort((d, rows))[rows.searchsorted(np.arange(block.shape[0]))]
-        out[s : s + step] = cand[first]
+        out[s + many] = cand[np.lexsort((d, pairs))[pairs.searchsorted(np.arange(many.size))]]
     return out
 
 

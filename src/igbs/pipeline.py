@@ -11,12 +11,13 @@ byte-identical outputs.
 ``run_compare`` selects every method's bands in its own process. Where the
 host can fork, has a second CPU and numpy's OpenBLAS thread count can be set,
 each method but the last then finishes (features, classifier, evaluation) in
-a forked child while the next method's bands are selected, every process
-using one BLAS thread, and the children's outcomes are joined in method
-order. A child's data or solver failure is recorded as the method's, any
-other error is raised at the method's place, and a child that ends without a
-result has its method finished inline; the outputs are the same bytes either
-way.
+a forked child while the next method's bands are selected. Every process
+uses one BLAS thread, every child runs at a lower priority than the main
+process, whose selections are the run's critical path, and the children's
+outcomes are joined in method order. A child's data or solver failure is
+recorded as the method's, any other error is raised at the method's place,
+and a child that ends without a result has its method finished inline; the
+outputs are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -213,6 +214,11 @@ def _join(pending: list) -> list[MethodOutcome]:
     return [p.result() if isinstance(p, _Child) else p for p in pending]
 
 
+# added to a child's nice value: at 10, the kernel's scheduler weighs a
+# child at about a tenth of the main process
+CHILD_NICE = 10
+
+
 class _Child:
     """A forked process running ``finish``, which returns a MethodOutcome.
     The child sends the outcome, or the exception ``finish`` raised, back
@@ -238,6 +244,9 @@ class _Child:
             code = 1
             try:
                 os.close(read)
+                # the main process's chain of selections sets the run's
+                # length, so a child yields the CPU to it
+                os.nice(CHILD_NICE)
                 try:
                     payload = (finish(), None)
                 except Exception as exc:  # the parent raises it at this method's place

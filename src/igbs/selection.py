@@ -15,9 +15,11 @@ relevance vector.
 Each step scores all remaining candidates as one array
 (``score_mifs``/``score_mrmr``/``score_igbs(cands, state, ...)``, or the
 relevance for MIM) and picks with ``np.argmax``, whose first maximum is the
-lowest band index, so score ties go to the lowest band. One stacked count
-per step gives every candidate's MI against the newest pick (MIFS, MRMR)
-or the (labels, estimate) pair (IGBS), each with the bits of one
+lowest band index, so scores equal in float bits go to the lowest band;
+scores equal only as real numbers may not (see the README's determinism
+paragraph). One stacked count per step gives every candidate's MI
+against the newest pick (MIFS, MRMR) or the (labels, estimate) pair
+(IGBS, over the pairs that occur only), each with the bits of one
 ``mutual_information`` call. MIFS and MRMR add the newest pick's MI to a
 running redundancy sum per band, in selection order.
 ``SelectionState.select`` keeps the selected rows' exact integer sum, from
@@ -109,11 +111,16 @@ def _estimated_map(band_sum: np.ndarray, count: int, levels: int) -> DiscreteSer
                           alphabet=levels)
 
 
-def estimate_joint(counts: np.ndarray, est_alphabet: int) -> np.ndarray:
-    """The (estimate, band) joint counts of a ((labels, estimate), band)
-    count block: its exact integer sum over the label axis."""
-    rows, pairs, levels = counts.shape
-    return counts.reshape(rows, pairs // est_alphabet, est_alphabet, levels).sum(axis=1)
+def estimate_fold(estimates: np.ndarray, est_alphabet: int):
+    """The fold of (pair, band) count blocks onto (estimate, band) counts,
+    where pair p has the estimate ``estimates[p]``: a function from a
+    (rows, pairs, levels) block to the int64 (rows, est_alphabet, levels)
+    block of each estimate's sum over its pairs. The sums are one float64
+    product with the 0/1 (estimate, pair) matrix, exact in any order,
+    since every count and every partial sum is an integer below 2^53."""
+    member = np.zeros((est_alphabet, len(estimates)))
+    member[estimates, np.arange(len(estimates))] = 1.0
+    return lambda counts: np.matmul(member, counts).astype(np.int64)
 
 
 def relevance_scores(series, labels: DiscreteSeries) -> np.ndarray:
@@ -167,9 +174,14 @@ def score_igbs(cands, state: SelectionState, lam: float = DEFAULT_LAMBDA) -> np.
         raise ConfigError("IGBS score needs at least one selected band")
     est = state.rebuild_estimated_gt()
     pair = pair_series(state.labels, est)
+    # count against the occupied pairs only, relabelled in increasing order:
+    # every nonzero cell keeps its place in C order, so each entropy its bits
+    occupied = np.bincount(pair.symbols, minlength=pair.alphabet) > 0
+    rank = np.cumsum(occupied) - 1
+    estimates = np.flatnonzero(occupied) % est.alphabet
     joint_pair, joint_est = joint_entropies(
-        pair, [state.matrix[c] for c in cands], state.levels, lambda counts: counts,
-        lambda counts: estimate_joint(counts, est.alphabet))
+        DiscreteSeries(rank[pair.symbols], len(estimates)), [state.matrix[c] for c in cands],
+        state.levels, lambda counts: counts, estimate_fold(estimates, est.alphabet))
     h, rel = state.band_entropy[cands], state.relevance[cands]
     gain = (((entropy(pair) + h) - joint_pair) - rel) - ((entropy(est) + h) - joint_est)
     return rel + lam * gain / len(state.selected)

@@ -493,6 +493,11 @@ def scaled_levels(rng, shape, levels):
     return rng.integers(0, levels, size=shape) / (levels - 1)
 
 
+def signed_magnitudes(rng, shape, low, high):
+    """Random signs times 10**e, e uniform in [low, high]."""
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(low, high, size=shape)
+
+
 class TestNn1Index:
     def assert_matches_oracle(self, train, test):
         got = accel.nn1_index(train, test)
@@ -532,6 +537,39 @@ class TestNn1Index:
         test = rng.normal(size=(20, 3)) * 10.0 ** rng.integers(0, 300, size=(20, 3))
         with np.errstate(over="ignore", invalid="ignore"):
             self.assert_matches_oracle(train, test)
+
+    def test_squares_overflow_float32_not_float64(self):
+        # magnitudes 1e20..1e38: the float32 screen's squares overflow, the
+        # float64 distances do not, so every train row is kept and refined
+        rng = np.random.default_rng(8)
+        train = signed_magnitudes(rng, (40, 4), 20, 38)
+        test = signed_magnitudes(rng, (30, 4), 20, 38)
+        assert np.isfinite(((test[:, None] - train[None]) ** 2).sum(axis=2)).all()
+        self.assert_matches_oracle(train, test)
+
+    def test_subnormal_in_float32(self):
+        # magnitudes 1e-45..1e-38 are subnormal in float32, or flush to zero
+        rng = np.random.default_rng(9)
+        train = signed_magnitudes(rng, (40, 4), -45, -38)
+        test = signed_magnitudes(rng, (30, 4), -45, -38)
+        assert (np.abs(train.astype(np.float32)) < np.finfo(np.float32).tiny).all()
+        self.assert_matches_oracle(train, test)
+
+    def test_fine_levels_at_paper_width(self):
+        # L=256 levels on 80 features: near ties in the last float32 bits
+        rng = np.random.default_rng(10)
+        self.assert_matches_oracle(scaled_levels(rng, (1500, 80), 256),
+                                   scaled_levels(rng, (600, 80), 256))
+
+    def test_constant_train_set_refines_a_whole_block(self):
+        # every train row ties, so each query row of a full block and of the
+        # partial one after it has every train row as a candidate
+        rng = np.random.default_rng(11)
+        train = np.full((2000, 2), 0.25)
+        test = rng.random((accel.QUERY_BLOCK // 2000 + 3, 2))
+        got = accel.nn1_index(train, test)
+        assert not got.any()
+        self.assert_matches_oracle(train, test)
 
     def test_queries_cross_block_boundaries(self):
         rng = np.random.default_rng(4)

@@ -144,6 +144,23 @@ def test_one_blas_thread_while_children_run(scene, tmp_path, monkeypatch, forks)
     assert [o.error for o in outcomes] == ["1 BLAS threads"] * 2  # child, then main
 
 
+def test_children_run_at_a_lower_priority(scene, tmp_path, monkeypatch, forks):
+    cube, gt = scene
+    set_cpus(monkeypatch, 2)
+    before = os.getpriority(os.PRIO_PROCESS, 0)
+
+    def record_priority(qcube, gt, method, *args):
+        raise MethodError(str(os.getpriority(os.PRIO_PROCESS, 0)))
+
+    monkeypatch.setattr(pipeline, "run_method", record_priority)
+    outcomes = pipeline.run_compare(RunConfig(k=4, methods=("MIM", "IGBS"),
+                                              out=str(tmp_path / "out")), cube=cube, gt=gt)
+    assert len(forks) == 1
+    child, main = (int(o.error) for o in outcomes)
+    assert child > main == before
+    assert os.getpriority(os.PRIO_PROCESS, 0) == before
+
+
 @pytest.mark.parametrize("error", [DataError("rows disagree"), MethodError("no convergence")],
                          ids=["DataError", "MethodError"])
 def test_child_failure_is_recorded_and_the_others_go_on(scene, tmp_path, monkeypatch, forks,

@@ -14,7 +14,7 @@ from igbs.selection import (
     METHODS,
     SelectionState,
     build_estimated_gt,
-    estimate_joint,
+    estimate_fold,
     greedy_select,
     init_state,
     score_igbs,
@@ -249,6 +249,20 @@ class TestIgbsScore:
 
 
 class TestGreedy:
+    # A band and its reflection L-1-x have the same count multiset against
+    # the labels, so their MI is equal as a real number; the entropy sums
+    # its p*log2(p) terms in cell order, which the reflection reverses, and
+    # on this scene the reflection's float MI comes out higher. Exact
+    # integer entropies would make this pass.
+    @pytest.mark.xfail(strict=True, reason="float MI breaks real-valued score ties")
+    def test_reflected_band_tie_takes_lower_index(self):
+        rng = np.random.default_rng(4)
+        labels = rng.integers(1, 9, size=4000)
+        band = np.minimum(labels + rng.integers(0, 9, size=4000), 15)
+        qcube, gt = make_instance([band, 15 - band], labels, levels=16)
+        firsts = [greedy_select(qcube, gt, m, k=2).selected[0] for m in ("MIM", "MIFS", "IGBS")]
+        assert firsts == [0, 0, 0]
+
     def test_k1_is_max_relevance_band(self):
         rng = np.random.default_rng(1)
         qcube, gt = random_instance(rng)
@@ -603,9 +617,11 @@ class TestStackedStep:
         state.select(3)
         est = state.rebuild_estimated_gt()
         pair = pair_series(state.labels, est)
+        # the occupied pairs, relabelled in increasing order, as IGBS counts them
+        occupied, ranks = np.unique(pair.symbols, return_inverse=True)
         rows = list(state.matrix[1:])
-        counts = np.concatenate(list(accel.hist2d_rows(pair.symbols, rows, pair.alphabet, levels)))
-        joint = estimate_joint(counts, est.alphabet)
+        counts = np.concatenate(list(accel.hist2d_rows(ranks, rows, occupied.size, levels)))
+        joint = estimate_fold(occupied % est.alphabet, est.alphabet)(counts)
         assert joint.dtype == np.int64
         assert np.array_equal(joint, np.stack(
             [brute.hist2d(est.symbols, row, levels, levels) for row in rows]))
