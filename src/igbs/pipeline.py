@@ -14,15 +14,17 @@ each method but the last then finishes (features, classifier, evaluation) in
 a forked child while the next method's bands are selected. Every process
 uses one BLAS thread, every child runs at a lower priority than the main
 process, whose selections are the run's critical path, and the children's
-outcomes are joined in method order. A child's data or solver failure is
-recorded as the method's, any other error is raised at the method's place,
-and a child that ends without a result has its method finished inline; the
-outputs are the same bytes either way.
+outcomes are joined in method order. A child sends back only its
+method's outcome, where a data or solver failure is recorded; a child that
+ends any other way, by another exception too, has its method finished
+again in the main process, which raises any error there at the method's
+place. The outputs are the same bytes either way.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import pickle
 import signal
@@ -56,24 +58,17 @@ def band_features(qcube: QuantizedCube, gt: GroundTruth, bands) -> np.ndarray:
     return np.ascontiguousarray(mat.T, dtype=np.float64) / (qcube.levels - 1)
 
 
-def _select(qcube: QuantizedCube, gt: GroundTruth, method: str, config: RunConfig):
-    return greedy_select(qcube, gt, method, config.k,
-                         beta=config.beta, threshold=config.threshold, lam=config.lam)
-
-
 def run_method(
     qcube: QuantizedCube,
     gt: GroundTruth,
     method: str,
     config: RunConfig,
     split: classify.SplitPlan,
-    selection: SelectionResult | None = None,
+    selection: SelectionResult,
 ) -> MethodOutcome:
-    """Run one method end to end; returns its selection, evaluation and the
-    full-scene predicted labels (over all labeled pixels). A ``selection``
-    already made for ``method`` skips the greedy search."""
-    if selection is None:
-        selection = _select(qcube, gt, method, config)
+    """Finish one method from its ``selection``: returns the selection, its
+    evaluation and the full-scene predicted labels (over all labeled
+    pixels)."""
     features = band_features(qcube, gt, selection.selected)
     labels = gt.classes[gt.ranks]
     train_x, train_y = features[split.train_idx], labels[split.train_idx]
@@ -128,8 +123,15 @@ def run_compare(
             blas[1](1)
         try:
             for i, method in enumerate(config.methods):
-                step = _fork_method if blas and i < last else run_method
-                pending.append(_recorded(method, step, qcube, gt, method, config, split))
+                try:
+                    selection = greedy_select(qcube, gt, method, config.k, beta=config.beta,
+                                              threshold=config.threshold, lam=config.lam)
+                except (DataError, MethodError) as exc:
+                    pending.append(MethodOutcome(method=method, error=str(exc)))
+                    continue
+                finish = functools.partial(_recorded, method, run_method,
+                                           qcube, gt, method, config, split, selection)
+                pending.append(_Child(finish) if blas and i < last else finish())
         except Exception:
             # an error in an earlier method's child comes first, as it would inline
             _join(pending)
@@ -172,42 +174,21 @@ _OPENBLAS_NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads6
 
 
 def _openblas_threads():
-    """``(get, set)`` for the thread count of the OpenBLAS mapped into this
-    process, or None when there is none (another BLAS, or no
-    ``/proc/self/maps``)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return None
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)  # the loaded library itself, not a second copy
-        except OSError:
-            continue
-        for name in _OPENBLAS_NAMES:
-            get = getattr(lib, name.format("get"), None)
-            put = getattr(lib, name.format("set"), None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+    """``(get, set)`` for the thread count of numpy's OpenBLAS, or None when
+    numpy uses another BLAS."""
+    from numpy.linalg import lapack_lite
+
+    # a lookup through this handle also searches the libraries lapack_lite
+    # links, which hold numpy's BLAS; the module is loaded, so no copy is made
+    lib = ctypes.CDLL(lapack_lite.__file__)
+    for name in _OPENBLAS_NAMES:
+        get = getattr(lib, name.format("get"), None)
+        put = getattr(lib, name.format("set"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
     return None
-
-
-def _fork_method(qcube, gt, method, config, split):
-    """Select ``method``'s bands here, then finish the method in a forked
-    child; a host that cannot fork one now finishes it inline."""
-    selection = _select(qcube, gt, method, config)
-
-    def finish():
-        return _recorded(method, run_method, qcube, gt, method, config, split, selection)
-
-    try:
-        return _Child(finish)
-    except OSError:
-        return finish()
 
 
 def _join(pending: list) -> list[MethodOutcome]:
@@ -220,13 +201,18 @@ CHILD_NICE = 10
 
 
 class _Child:
-    """A forked process running ``finish``, which returns a MethodOutcome.
-    The child sends the outcome, or the exception ``finish`` raised, back
-    through a pipe and leaves only through ``os._exit``."""
+    """``finish``, which returns a MethodOutcome, run in a forked child. The
+    child pickles the outcome into a pipe and exits 0, and it leaves only
+    through ``os._exit``. Any other ending (an exception, a signal, an
+    outcome that cannot be pickled), or a pipe or fork that fails, leaves
+    ``finish`` to ``result``, in the caller."""
 
     def __init__(self, finish):
-        self.finish = finish
-        read, write = os.pipe()
+        self.finish, self.pid = finish, None
+        try:
+            read, write = os.pipe()
+        except OSError:
+            return
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns on fork while other threads exist. The
@@ -239,7 +225,7 @@ class _Child:
         except OSError:
             os.close(read)
             os.close(write)
-            raise
+            return
         if self.pid == 0:
             code = 1
             try:
@@ -247,12 +233,9 @@ class _Child:
                 # the main process's chain of selections sets the run's
                 # length, so a child yields the CPU to it
                 os.nice(CHILD_NICE)
-                try:
-                    payload = (finish(), None)
-                except Exception as exc:  # the parent raises it at this method's place
-                    payload = (None, exc)
+                data = pickle.dumps(finish())
                 with open(write, "wb") as fh:
-                    fh.write(pickle.dumps(payload))
+                    fh.write(data)
                 code = 0
             finally:
                 os._exit(code)  # never return into the caller, whatever was raised
@@ -260,23 +243,21 @@ class _Child:
         self.pipe = open(read, "rb")
 
     def result(self) -> MethodOutcome:
-        """The child's outcome, its exception raised here, or, when it ended
-        without a result, the method finished inline."""
-        with self.pipe:
-            data = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if os.waitstatus_to_exitcode(status) != 0:
-            return self.finish()
-        outcome, exc = pickle.loads(data)
-        if exc is not None:
-            raise exc
-        return outcome
+        """The child's outcome, or the method finished here when the child
+        ended any other way or was never forked."""
+        if self.pid is not None:
+            with self.pipe:
+                data = self.pipe.read()
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            if os.waitstatus_to_exitcode(status) == 0:
+                return pickle.loads(data)
+        return self.finish()
 
     def kill(self) -> None:
         """End and reap the child unless ``result`` has joined it."""
-        self.pipe.close()
         if self.pid is not None:
+            self.pipe.close()
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None

@@ -147,7 +147,10 @@ def _report_items(config: RunConfig, method: str) -> list[tuple[str, str]]:
     for name, key, none in _reported():
         value = method if name == "methods" else getattr(config, name)
         # an empty path prints like an absent one
-        items.append((key, none if value in (None, "") else _fmt(value)))
+        shown = none if value in (None, "") else _fmt(value)
+        if isinstance(value, float) and float(shown) != value:
+            shown = repr(value)  # a value that six decimals do not hold
+        items.append((key, shown))
     return items
 
 

@@ -555,6 +555,24 @@ class TestNn1Index:
         assert (np.abs(train.astype(np.float32)) < np.finfo(np.float32).tiny).all()
         self.assert_matches_oracle(train, test)
 
+    def test_screen_beyond_float32_range_keeps_every_row(self):
+        # 4 R^2 is above float32's range, but only the winner's |t|^2, near
+        # 3.6e38, overflows the screen: without the range gate the inf score
+        # drops row 0 and the finite row 1 wins
+        train = np.array([[1.9e19], [-1e19]])
+        test = np.array([[5e18]])
+        assert broadcast_nn1_index(train, test).tolist() == [0]
+        self.assert_matches_oracle(train, test)
+
+    @pytest.mark.parametrize("k", [12, 40])
+    def test_underflowing_products_need_the_absolute_slack(self, k):
+        # integer patterns in [-3, 3] scaled by 1e-23: the screen's products,
+        # near 1e-46, underflow float32, so its errors are absolute, far
+        # above its relative bound; the slack's 2^-126 term covers them
+        rng = np.random.default_rng(k)
+        self.assert_matches_oracle(rng.integers(-3, 4, size=(30, k)) * 1e-23,
+                                   rng.integers(-3, 4, size=(20, k)) * 1e-23)
+
     def test_fine_levels_at_paper_width(self):
         # L=256 levels on 80 features: near ties in the last float32 bits
         rng = np.random.default_rng(10)

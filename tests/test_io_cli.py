@@ -255,6 +255,21 @@ class TestRunCompare:
         second = Path(f"{rerun_config.out}/MIFS.report.txt").read_bytes()
         assert first == second
 
+    def test_report_holds_floats_six_decimals_do_not(self, small_dataset, tmp_path, capsys):
+        # svm_tol 1e-7 once printed as 0.000000, which from_report refused
+        base, _, _ = small_dataset
+        first = tmp_path / "first"
+        assert main(["classify", "--method", "IGBS", "--cube", base, "--gt", base + ".gt.raw",
+                     "--k", "3", "--svm-tol", "1e-7", "--beta", "0.6666666",
+                     "--out", str(first)]) == 0
+        report = (first / "IGBS.report.txt").read_bytes()
+        assert b"\nbeta = 0.6666666\n" in report and b"\nsvm_tol = 1e-07\n" in report
+        config = RunConfig.from_report(str(first / "IGBS.report.txt"))
+        assert (config.beta, config.svm_tol) == (0.6666666, 1e-7)
+        config.out = str(tmp_path / "second")
+        pipeline.run_compare(config)
+        assert (tmp_path / "second" / "IGBS.report.txt").read_bytes() == report
+
     def test_degenerate_k_all_bands_same_set_same_oa(self, tmp_path):
         # every band informative and low-noise: the MIBF gate accepts all too
         spec = SynthSpec(rows=12, cols=12, bands=6, classes=2,
