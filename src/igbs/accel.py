@@ -126,10 +126,10 @@ def nn1_index(train, test):
     - with m the screen's argmin and D_t* <= D_m:
       S'_t* - S'_m <= d_t* - d_m + 2 g_(k+3) R^2 + 2E < 3 g_(k+4) R^2 + 2E.
     The slack 4 g_(k+4) R^2 + 4 (k + 1)(R + 1) a leaves g_(k+4) R^2 for the
-    float64 rounding of R, of the slack and of min S + slack, and the limit
-    is rounded upward to float32. Where 4 R^2 exceeds float32's range, the
-    screen could overflow, and the limit is inf: every train row is kept, so
-    the refine is then the full broadcast.
+    float64 rounding of R, of the slack and of min S + slack; numpy compares
+    the float32 screen with that float64 limit exactly, in float64. Where
+    4 R^2 exceeds float32's range, the screen could overflow, and the limit
+    is inf: every train row is kept, so the refine is the full broadcast.
     """
     n, k = train.shape
     out = np.empty(test.shape[0], dtype=np.int64)
@@ -153,13 +153,10 @@ def nn1_index(train, test):
             first = screen.argmin(axis=1)
             low = screen[rows, first]
             limit = np.where(4.0 * reach_q**2 <= float(f32.max), low + slack, np.inf)
-            limit32 = limit.astype(np.float32)
-            up = limit32 < limit  # rounded down by the conversion
-            limit32[up] = np.nextafter(limit32[up], np.float32(np.inf))
             screen[rows, first] = np.inf
-            many = np.flatnonzero(~(screen.min(axis=1) > limit32))
+            many = np.flatnonzero(~(screen.min(axis=1) > limit))
             screen[rows, first] = low
-            pairs, cand = np.nonzero(~(screen[many] > limit32[many, None]))
+            pairs, cand = np.nonzero(~(screen[many] > limit[many, None]))
         out[s : s + step] = first
         d = ((block[many[pairs]] - train[cand]) ** 2).sum(axis=1)
         # pairs come sorted by row, then by index; a stable sort on distance

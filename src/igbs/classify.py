@@ -105,7 +105,6 @@ class SvmModel:
     classes: np.ndarray
     pairs: list
     gamma: float
-    n_features: int
     sv_rows: np.ndarray
     bounds: np.ndarray
     coef: np.ndarray
@@ -161,7 +160,6 @@ def train_svm(
         classes=classes,
         pairs=pairs,
         gamma=gamma,
-        n_features=features.shape[1],
         sv_rows=features[used],
         bounds=np.searchsorted(ranks[used], np.arange(classes.size + 1)),
         coef=coef[used],
@@ -180,10 +178,9 @@ def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
     class's support rows.
     """
     features = _features(features, "SVM features")
-    if features.shape[1] != model.n_features:
-        raise DataError(
-            f"feature dimension {features.shape[1]} does not match model ({model.n_features})"
-        )
+    if features.shape[1] != model.sv_rows.shape[1]:
+        raise DataError(f"feature dimension {features.shape[1]} does not match model "
+                        f"({model.sv_rows.shape[1]})")
     n, n_cls = features.shape[0], model.classes.size
     first = np.searchsorted(model.classes, [p.positive for p in model.pairs])
     second = np.searchsorted(model.classes, [p.negative for p in model.pairs])

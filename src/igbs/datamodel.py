@@ -8,6 +8,7 @@ estimates only ever see pixels with a nonzero ground-truth label.
 ``GroundTruth`` fixes those pixels at construction (``gt.index``, their flat
 row-major indices, ``gt.classes`` and ``gt.ranks``, each one's index into
 ``gt.classes``); ``labeled_matrix(qcube, gt, bands=None)`` reads their values.
+``check_geometry`` is the one grid rule, and ``QuantizedCube`` the one levels rule.
 
 A ``HyperCube`` keeps float32 samples as float32 (u16 samples widen to it
 exactly) and anything wider as float64; quantization computes in float64
@@ -173,9 +174,8 @@ def quantize_cube(cube: HyperCube, levels: int = DEFAULT_LEVELS) -> QuantizedCub
     exactly) and runs one band at a time, so besides the cube and its levels
     only one band's float64 buffer is held.
     """
-    if not 2 <= levels <= MAX_LEVELS:
-        raise DataError(f"levels must be in [2, {MAX_LEVELS}], got {levels}")
-    out = np.empty(cube.values.shape, dtype=np.uint8)
+    # built before any band is scaled, so its check refuses a bad levels first
+    out = QuantizedCube(values=np.zeros(cube.values.shape, dtype=np.uint8), levels=levels)
     scaled = np.empty(cube.values.shape[1:])
     for band, plane in enumerate(cube.values):
         np.copyto(scaled, plane)
@@ -185,27 +185,30 @@ def quantize_cube(cube: HyperCube, levels: int = DEFAULT_LEVELS) -> QuantizedCub
         # at a time in one buffer; a constant band has plane - lo == 0
         # exactly, so it maps to 0
         scaled -= lo
-        scaled *= (levels - 1) / (span if span != 0 else 1.0)
+        scaled *= (out.levels - 1) / (span if span != 0 else 1.0)
         scaled += 0.5
         np.floor(scaled, out=scaled)
         # a range that overflows float64 scales to NaN and a subnormal span
         # scales the top to inf; casting either to an integer is undefined,
         # so clip in float first (fmax sends NaN to 0)
         np.fmax(scaled, 0.0, out=scaled)
-        np.fmin(scaled, levels - 1, out=scaled)
-        out[band] = scaled
-    return QuantizedCube(values=out, levels=levels)
+        np.fmin(scaled, out.levels - 1, out=scaled)
+        out.values[band] = scaled
+    return out
+
+
+def check_geometry(cube: _BandMajor, gt: GroundTruth) -> None:
+    """DataError unless ``cube`` (float or quantized) and ``gt`` share a grid."""
+    if (cube.rows, cube.cols) != (gt.rows, gt.cols):
+        raise DataError(f"geometry mismatch: cube {cube.rows}x{cube.cols} "
+                        f"vs ground truth {gt.rows}x{gt.cols}")
 
 
 def labeled_matrix(qcube: QuantizedCube, gt: GroundTruth, bands=None) -> np.ndarray:
     """The labeled-pixel series of ``bands`` (default: every band), in that
     order, as one C-ordered (len(bands), n_labeled) array with pixels in
     ``gt.index`` order, so each band's series is a contiguous row."""
-    if (qcube.rows, qcube.cols) != (gt.rows, gt.cols):
-        raise DataError(
-            f"geometry mismatch: cube {qcube.rows}x{qcube.cols} "
-            f"vs ground truth {gt.rows}x{gt.cols}"
-        )
+    check_geometry(qcube, gt)
     planes = qcube.values.reshape(qcube.bands, -1)
     if bands is not None:
         bands = integers(list(bands), "bands")

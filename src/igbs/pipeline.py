@@ -1,10 +1,11 @@
 """End-to-end orchestration: load and quantize (once per run, in
-``load_dataset``) -> select -> split -> train -> predict -> evaluate, for one
-method or a whole comparison run.
+``load_dataset``, from files or an in-memory scene) -> select -> split ->
+train -> predict -> evaluate, for one method or a whole comparison run.
 
 A method that fails on its data or in its solver is recorded as failed in its
 report and in the comparison table, and the remaining methods still run; a
-configuration error, such as k above the cube's band count, ends the run.
+configuration error, such as k above the cube's band count, ends the run, as
+a cube and ground truth on different grids do before any band is quantized.
 Nothing here consumes wall-clock state, so identical configurations produce
 byte-identical outputs.
 
@@ -33,21 +34,24 @@ import warnings
 
 import numpy as np
 
-from . import classify, raster
+from . import classify, datamodel, raster
 from .datamodel import GroundTruth, HyperCube, QuantizedCube, labeled_matrix, quantize_cube
 from .errors import ConfigError, DataError, MethodError
 from .report import MethodOutcome, RunConfig, render_comparison, render_method_report
 from .selection import SelectionResult, greedy_select
 
 
-def load_dataset(config: RunConfig) -> tuple[QuantizedCube, GroundTruth]:
-    """The configured cube, quantized to ``config.levels`` (its float samples
-    are dropped on return), and its ground truth."""
-    if not config.cube or not config.gt:
-        raise ConfigError("cube and gt paths are required")
-    # by header path, the form the benchmark's tracer sizes the cube files from
-    cube = raster.load_cube(raster.cube_paths(config.cube)[0])
-    gt = raster.load_gt(config.gt, rows=cube.rows, cols=cube.cols)
+def load_dataset(config: RunConfig, cube=None, gt=None) -> tuple[QuantizedCube, GroundTruth]:
+    """The in-memory ``cube`` and ``gt`` (given together), or else the
+    configured files, checked to share one grid: the cube quantized to
+    ``config.levels`` (its float samples are dropped on return) and gt."""
+    if cube is None:
+        if not config.cube or not config.gt:
+            raise ConfigError("cube and gt paths are required")
+        # by header path, the form the benchmark's tracer sizes the cube files from
+        cube = raster.load_cube(raster.cube_paths(config.cube)[0])
+        gt = raster.load_gt(config.gt, rows=cube.rows, cols=cube.cols)
+    datamodel.check_geometry(cube, gt)
     return quantize_cube(cube, config.levels), gt
 
 
@@ -107,10 +111,7 @@ def run_compare(
         raise DataError(f"output directory {config.out} is an existing file")
     if near and not os.path.isdir(near):
         raise DataError(f"output directory {config.out} lies below the existing file {near}")
-    if cube is None:
-        qcube, gt = load_dataset(config)
-    else:
-        qcube = quantize_cube(cube, config.levels)
+    qcube, gt = load_dataset(config, cube, gt)
     split = classify.stratified_split(gt, fraction=config.fraction, seed=config.seed)
     last = len(config.methods) - 1
     blas = _fork_blas() if last > 0 else None  # (get, set) of the BLAS thread count

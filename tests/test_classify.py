@@ -331,7 +331,6 @@ class TestPredictRules:
                 pair(3, 4, 1.0),   # 3
             ],
             gamma=1.0,
-            n_features=2,
             sv_rows=np.zeros((0, 2)),
             bounds=np.zeros(5, dtype=np.int64),
             coef=np.zeros((0, 4)),
@@ -382,7 +381,6 @@ class TestPredictRules:
             classes=np.array([1, 2]),
             pairs=[PairModel(positive=1, negative=2, alphas=np.ones(n_sv), bias=0.0)],
             gamma=1.0,
-            n_features=2,
             sv_rows=np.vstack([rng.random((half, 2)), rng.random((half, 2)) + 0.5]),
             bounds=np.array([0, half, n_sv]),
             coef=coef,

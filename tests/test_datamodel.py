@@ -1,3 +1,4 @@
+import types
 import warnings
 
 import numpy as np
@@ -204,11 +205,24 @@ class TestQuantize:
         assert np.array_equal(got, brute.quantize(values.astype(np.float64), 256))
 
     def test_levels_bounds(self):
+        # quantize_cube applies QuantizedCube's levels rule before it reads a
+        # band: "16" once ended in a bare TypeError, and 16.5 was refused only
+        # after every band had been scaled
+        class Unscaled(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("a band was scaled before levels was checked")
+
+        unscaled = types.SimpleNamespace(values=np.zeros((1, 1, 2)).view(Unscaled))
+        for levels in (1, 300, None, True, 16.5):
+            with pytest.raises(DataError) as own:
+                QuantizedCube(values=np.zeros((1, 1, 2), dtype=np.uint8), levels=levels)
+            with pytest.raises(DataError) as got:
+                quantize_cube(unscaled, levels=levels)
+            assert str(got.value) == str(own.value)
+        # a decimal string is an integer to that rule, as in QuantizedCube
         cube = cube_from_bands([[0.0, 1.0]])
-        with pytest.raises(DataError):
-            quantize_cube(cube, levels=1)
-        with pytest.raises(DataError):
-            quantize_cube(cube, levels=300)
+        q = quantize_cube(cube, levels="16")
+        assert q.levels == 16 and q.values.tolist() == [[[0, 15]]]
 
 
 class TestLabeledSeries:

@@ -309,6 +309,21 @@ class TestRunCompare:
             pipeline.run_compare(config, **{given: {"cube": cube, "gt": gt}[given]})
         assert not list(tmp_path.glob("out*"))
 
+    def test_in_memory_geometry_mismatch_fails_before_any_work(self, small_dataset, tmp_path,
+                                                               monkeypatch):
+        # it was five "geometry mismatch" method failures, with their
+        # reports, maps and the comparison table written
+        _, cube, gt = small_dataset
+        calls = []
+        monkeypatch.setattr(pipeline, "quantize_cube", lambda *a: calls.append("quantize"))
+        monkeypatch.setattr(pipeline, "greedy_select", lambda *a, **k: calls.append("select"))
+        out = tmp_path / "out"
+        with pytest.raises(DataError, match="^geometry mismatch: cube 12x12 vs ground truth 10x12$"):
+            pipeline.run_compare(RunConfig(k=3, out=str(out)), cube=cube,
+                                 gt=GroundTruth(labels=gt.labels[:10]))
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", [["compare"], ["classify", "--method", "IGBS"]])
     def test_out_that_is_a_file_fails_before_any_work(self, small_dataset, tmp_path, capsys,
                                                       monkeypatch, verb):

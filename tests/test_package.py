@@ -1,7 +1,12 @@
-"""Package hygiene, stdlib only: the public names resolve, and no module of
-``igbs`` imports a name it never uses (a leftover from a deleted code path)."""
+"""Package hygiene, stdlib only: the public names resolve, no module of
+``igbs`` imports a name it never uses (a leftover from a deleted code path),
+and the README's library example runs."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import igbs
@@ -50,3 +55,18 @@ def test_every_top_level_definition_is_used():
             used |= names
     unused = [f"{module}: {name}" for module, name in defined if name not in used]
     assert not unused
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the python block under "Library use", run as a user would run it
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    src = str(Path(igbs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 2
+    assert (tmp_path / "runs" / "api" / "comparison.txt").is_file()

@@ -249,13 +249,25 @@ class TestIgbsScore:
 
 
 class TestGreedy:
-    # A band and its reflection L-1-x have the same count multiset against
-    # the labels, so their MI is equal as a real number; the entropy sums
-    # its p*log2(p) terms in cell order, which the reflection reverses, and
-    # on this scene the reflection's float MI comes out higher. Exact
-    # integer entropies would make this pass.
+    # Both cases are score ties that hold as real numbers but not in float
+    # bits, and exact integer entropies would make both pass.
+    # - "reflected": a band and its reflection L-1-x have the same count
+    #   multiset against the labels, so their MI is equal; the entropy sums
+    #   its p*log2(p) terms in cell order, which the reflection reverses, and
+    #   on this scene the reflection's float MI comes out higher.
+    # - "desk": the desk-sweep benchmark's scene of seed 1, generated in
+    #   memory (44 of that workload's 100 scenes meet such a tie). Bands 13
+    #   and 31 carry the same class bit, and IGBS's second step scores them
+    #   0x1.fe5174e9e6af8p-1 and 0x1.fe5174e9e6b00p-1, so it picks
+    #   [45, 31].
     @pytest.mark.xfail(strict=True, reason="float MI breaks real-valued score ties")
-    def test_reflected_band_tie_takes_lower_index(self):
+    @pytest.mark.parametrize("case", ["reflected", "desk"])
+    def test_reflected_band_tie_takes_lower_index(self, case):
+        if case == "desk":
+            cube, gt, _ = generate_cube(SynthSpec(rows=64, cols=64, bands=50, classes=4,
+                                                  informative_bands=(4, 13, 22, 31, 45), seed=1))
+            assert greedy_select(quantize_cube(cube, 16), gt, "IGBS", k=2).selected == [45, 13]
+            return
         rng = np.random.default_rng(4)
         labels = rng.integers(1, 9, size=4000)
         band = np.minimum(labels + rng.integers(0, 9, size=4000), 15)
