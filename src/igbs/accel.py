@@ -12,18 +12,15 @@ determinism paragraph).
 ``nn1_index`` screens with one float32 matrix product per block of query
 rows; where the screen leaves a query more than one train row it cannot
 rule out, it computes that exact distance expression for those rows only,
-so its answer is the one the plain broadcast gives.
-``rbf_kernel`` forms everything after the matrix product in place, and
-``smo_solve`` takes a pair's features, not a kernel: every kernel row it
-reads is a row of ``rbf_kernel``, formed on the step that first reads it,
-so the rows it never reads cost nothing. It tracks its working set in two
-vectors whose entries change only at the two indices a step moves. Both
-reproduce, bit for bit, the whole-array forms kept in ``tests/brute.py``:
-the same kernel values, and the same duals, bias, step count and gap on
-the kernel stacked from those rows. ``hist2d_rows`` counts one series
-against a stack of rows with one ``np.bincount`` per block of MI_BLOCK
-symbols; ``hist2d`` is its one-row case, and integer counts equal the
-one-pair counts exactly.
+so its answer is the one the plain broadcast gives. ``hist2d_rows`` (one
+series against a stack of rows) and ``rbf_kernel`` work in passes of at
+most CACHE_BLOCK entries, and ``rbf_kernel`` takes |b|^2 from its caller.
+``smo_solve`` forms only the kernel rows it reads, each with one
+``rbf_kernel``, and tracks its working set in two vectors whose entries
+change only at the two indices a step moves. Integer counts equal the
+one-pair counts exactly, and the kernel values and the solver's duals,
+bias, step count and gap are bit for bit those of the whole-array forms
+kept in ``tests/brute.py``.
 """
 
 from __future__ import annotations
@@ -31,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 
-# symbols counted, and histogram cells filled, per np.bincount call
-MI_BLOCK = 65_536
+# entries per in-place pass: np.bincount codes and cells, or rbf_kernel entries
+CACHE_BLOCK = 65_536
 
 
 def hist2d_rows(x, rows, ax, ay):
@@ -40,13 +37,13 @@ def hist2d_rows(x, rows, ax, ay):
 
     Yields one (b, ax, ay) int64 array per block of rows, in order, with
     ``counts[r] == hist2d(x, row, ax, ay)`` for each row of the block. A
-    block holds at most MI_BLOCK symbols and MI_BLOCK cells, or one row, and
-    is counted by one ``np.bincount`` of the codes ``r*ax*ay + x*ay + row``,
-    which take one in-place add per block. Codes are int64 whatever the
-    symbols' dtype: ``x * ay`` would wrap in uint8.
+    block holds at most CACHE_BLOCK symbols and CACHE_BLOCK cells, or one
+    row, and is counted by one ``np.bincount`` of the codes
+    ``r*ax*ay + x*ay + row``, which take one in-place add per block. Codes
+    are int64 whatever the symbols' dtype: ``x * ay`` would wrap in uint8.
     """
     cells = ax * ay
-    step = max(1, MI_BLOCK // max(len(x), cells))
+    step = max(1, CACHE_BLOCK // max(len(x), cells))
     offsets = np.arange(min(step, len(rows))) * cells
     base = np.asarray(x, dtype=np.int64) * ay + offsets[:, None]
     for s in range(0, len(rows), step):
@@ -63,25 +60,19 @@ def hist2d(x, y, ax, ay):
     return counts[0]
 
 
-# kernel entries combined, scaled and exponentiated per row block
-RBF_BLOCK = 32_768
-
-
-def rbf_kernel(a, b, gamma, bb=None):
+def rbf_kernel(a, b, gamma, bb):
     """exp(-gamma * max(0, (|a|^2 + |b|^2) - 2 a.b)) for every row pair.
 
-    ``bb`` is ``np.einsum("ij,ij->i", b, b)``, the |b|^2 this forms when it
-    is not given; a caller that forms many kernels against one ``b`` passes
-    it. ``a @ b.T`` stays one product (numpy hands ``a @ a.T`` to SYRK, whose
-    bits differ from GEMM's), and the rest is formed in place in it, one
-    row block at a time. Every step works entry by entry, so a row gets the
-    same bits whichever block it is formed in.
+    ``bb`` is ``np.einsum("ij,ij->i", b, b)``, |b|^2, formed by the caller:
+    each caller forms many kernels against one ``b`` and forms it once.
+    ``a @ b.T`` stays one product (numpy hands ``a @ a.T`` to SYRK, whose
+    bits differ from GEMM's), and the rest is formed in place in it, at most
+    CACHE_BLOCK entries (or one row) at a time. Every step works entry by
+    entry, so a row gets the same bits whichever block it is formed in.
     """
     aa = np.einsum("ij,ij->i", a, a)
-    if bb is None:
-        bb = np.einsum("ij,ij->i", b, b)
     out = a @ b.T
-    step = max(1, RBF_BLOCK // max(out.shape[1], 1))
+    step = max(1, CACHE_BLOCK // max(out.shape[1], 1))
     for s in range(0, out.shape[0], step):
         block = out[s : s + step]
         block *= -2.0  # exact, so the norms plus block are |a|^2 + |b|^2 - 2 a.b
@@ -169,9 +160,9 @@ def smo_solve(x, y, gamma, c, tol, max_steps):
     """Maximal-violating-pair SMO on the RBF kernel of the rows of ``x``.
 
     Returns the duals, the bias, the step count and the final KKT gap. Row
-    t of the kernel is ``rbf_kernel(x[t : t + 1], x, gamma)[0]``, formed the
-    first time the working set picks t and kept for the rest of the solve;
-    the |x|^2 every row needs is formed once per solve and passed in. A
+    t of the kernel is ``rbf_kernel(x[t : t + 1], x, gamma, xx)[0]``, formed
+    the first time the working set picks t and kept for the rest of the
+    solve; ``xx``, the |x|^2 every row needs, is formed once per solve. A
     step reads only rows i and j, eta's three entries among them, so a row
     never picked is never formed and no n x n array is held. A NaN gap (a
     kernel that overflowed) ends the solve like a closed one.

@@ -175,7 +175,7 @@ def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
     one-row product goes through GEMV, whose bits differ from GEMM's. Each
     block forms that one kernel and one product per class block of it with
     the class's ``coef`` rows, which gives every pair's share from that
-    class's support rows.
+    class's support rows. |sv_rows|^2 is formed once, for every block.
     """
     features = _features(features, "SVM features")
     if features.shape[1] != model.sv_rows.shape[1]:
@@ -191,8 +191,9 @@ def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
     edges = (np.arange(blocks + 1) * n // blocks).tolist()
     bounds = model.bounds.tolist()
     out = np.empty(n, dtype=np.int64)
+    vv = np.einsum("ij,ij->i", model.sv_rows, model.sv_rows)
     for s, e in zip(edges[:-1], edges[1:]):
-        k = accel.rbf_kernel(features[s:e], model.sv_rows, model.gamma)
+        k = accel.rbf_kernel(features[s:e], model.sv_rows, model.gamma, vv)
         # share[r, :, t]: class r's support rows' term in the pair (r, t)
         b = e - s
         share = np.empty((n_cls, b, n_cls))

@@ -25,11 +25,18 @@ from .synth import SynthSpec, generate_cube
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise a one-line ConfigError instead of printing the
-    usage text and exiting."""
+    """Usage errors raise a one-line ConfigError, and any argument ``float()``
+    reads is a value (argparse alone takes ``-2e-2`` for a flag)."""
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _add_record_flags(sub, cls, skip=()):

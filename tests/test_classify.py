@@ -312,7 +312,8 @@ class TestPredictRules:
         expected = pair.positive if pair.bias > 0 else pair.negative
         assert predict(model, far)[0] == expected
         # the kernel really has vanished at that distance
-        kernel_term = accel.rbf_kernel(far, model.sv_rows, model.gamma) @ model.coef.sum(axis=1)
+        vv = np.einsum("ij,ij->i", model.sv_rows, model.sv_rows)
+        kernel_term = accel.rbf_kernel(far, model.sv_rows, model.gamma, vv) @ model.coef.sum(axis=1)
         assert kernel_term[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_vote_tie_goes_to_lowest_class(self):
@@ -349,12 +350,21 @@ class TestPredictRules:
         x, labels, model, oracle = oracle_scene
         assert model.sv_rows.shape[0] > 16  # more support rows than ranks squared
         monkeypatch.setattr(accel, "QUERY_BLOCK", 7 * model.sv_rows.shape[0])
-        kernel, sizes = accel.rbf_kernel, []
-        monkeypatch.setattr(accel, "rbf_kernel", lambda a, *r: sizes.append(len(a)) or kernel(a, *r))
+        kernel, sizes, norms = accel.rbf_kernel, [], []
+
+        def spy(a, b, gamma, bb=None):
+            sizes.append(len(a))
+            norms.append(bb)
+            return kernel(a, b, gamma, bb)
+
+        monkeypatch.setattr(accel, "rbf_kernel", spy)
         queries = np.random.default_rng(4).random((n, x.shape[1]))
         assert_predicts_as_oracle(model, x, oracle, queries)
         assert sum(sizes) == n and len(sizes) == max(1, -(-n // 7))
         assert n < 2 or 2 <= min(sizes) <= max(sizes) <= 7
+        # every block's kernel takes the one |sv_rows|^2 that predict forms
+        assert all(bb is norms[0] for bb in norms) and isinstance(norms[0], np.ndarray)
+        assert norms[0].tobytes() == np.einsum("ij,ij->i", model.sv_rows, model.sv_rows).tobytes()
 
     def test_pair_without_support_vectors(self, oracle_scene):
         # pair (1, 2) keeps only its bias: its rows' coefficients in it are 0
@@ -693,7 +703,7 @@ class TestRbfKernel:
     """accel.rbf_kernel against the whole-array expression in tests/brute.py."""
 
     def assert_matches_oracle(self, a, b, gamma=0.25):
-        got = accel.rbf_kernel(a, b, gamma)
+        got = accel.rbf_kernel(a, b, gamma, np.einsum("ij,ij->i", b, b))
         want = brute.rbf_kernel(a, b, gamma)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -708,13 +718,16 @@ class TestRbfKernel:
         rng = np.random.default_rng(k + 1)
         self.assert_matches_oracle(rng.normal(size=(70, k)), rng.normal(size=(110, k)))
 
-    def test_rows_cross_block_boundaries(self):
-        rng = np.random.default_rng(3)
-        cols = 500
-        rows = 2 * (accel.RBF_BLOCK // cols) + 7  # two full blocks and a partial one
-        a = scaled_levels(rng, (rows, 6), 16)
-        self.assert_matches_oracle(a, scaled_levels(rng, (cols, 6), 16))
-        self.assert_matches_oracle(a, a)
+    def test_rows_cross_block_boundaries(self, monkeypatch):
+        # the module's budget, then the small-blocks one of conftest's mi_block
+        for budget in (accel.CACHE_BLOCK, 1000):
+            monkeypatch.setattr(accel, "CACHE_BLOCK", budget)
+            rng = np.random.default_rng(3)
+            cols = 500
+            rows = 2 * (budget // cols) + 7  # full blocks and a partial one
+            a = scaled_levels(rng, (rows, 6), 16)
+            self.assert_matches_oracle(a, scaled_levels(rng, (cols, 6), 16))
+            self.assert_matches_oracle(a, a)
 
     def test_duplicate_rows_clip_round_off(self):
         rng = np.random.default_rng(4)

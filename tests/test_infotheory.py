@@ -217,10 +217,10 @@ class TestStackedCount:
                               brute.hist2d(x, rows[0], levels, levels))
 
     def test_small_blocks_split_the_rows(self, monkeypatch):
-        monkeypatch.setattr(accel, "MI_BLOCK", 1000)
+        monkeypatch.setattr(accel, "CACHE_BLOCK", 1000)
         x, rows = self._rows(16)
         assert [len(b) for b in accel.hist2d_rows(x, rows, 16, 16)] == [3, 3, 3, 3, 1]
-        # a block holds at most MI_BLOCK cells, or one row
+        # a block holds at most CACHE_BLOCK cells, or one row
         assert [len(b) for b in accel.hist2d_rows(x, rows[:2], 16, 256)] == [1, 1]
 
     @pytest.mark.parametrize("levels", [2, 4, 16, 256])

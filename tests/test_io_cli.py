@@ -726,6 +726,32 @@ class TestCli:
             "--gt", base + ".gt.raw", "--out", str(tmp_path / "r"),
         ]) == 2
 
+    def test_negative_exponent_is_a_value(self, small_dataset, tmp_path):
+        # argparse alone takes -2e-2 for a flag: "expected one argument"
+        base, out = small_dataset[0], tmp_path / "neg"
+        assert main(["compare", "--cube", base, "--gt", base + ".gt.raw", "--k", "3",
+                     "--methods", "MIBF", "--threshold", "-2e-2", "--out", str(out)]) == 0
+        assert "threshold = -0.020000\n" in (out / "MIBF.report.txt").read_text()
+
+    @pytest.mark.parametrize("argv, code, line", [
+        pytest.param(["compare", "--lambda", "-inf"], 2,
+                     "config error: bad lam: expected a finite number, got -inf", id="lambda-inf"),
+        pytest.param(["synth", "--separation", "-1e1"], 3,
+                     "data error: class separation must be positive", id="separation-exponent"),
+        pytest.param(["synth", "--separation", "-10"], 3,
+                     "data error: class separation must be positive", id="separation-integer"),
+    ])
+    def test_negative_value_reaches_the_record(self, small_dataset, tmp_path, capsys,
+                                               argv, code, line):
+        base = small_dataset[0]
+        if argv[0] == "synth":
+            data = ["--rows", "4", "--cols", "4", "--bands", "3", "--classes", "2",
+                    "--informative", "0"]
+        else:
+            data = ["--cube", base, "--gt", base + ".gt.raw"]
+        assert main(argv + data + ["--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == line + "\n"
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         base = str(tmp_path / "scene")
         main(["synth", "--rows", "10", "--cols", "10", "--bands", "6",

@@ -667,7 +667,7 @@ class TestStackedStep:
         qcube, gt = random_instance(np.random.default_rng(3), bands=40, n=1024,
                                     levels=256, classes=3)
         cells = 3 * 256 * 256 if method == "IGBS" else 256 * 256
-        block = 8 * max(accel.MI_BLOCK, 1024, cells)  # int64 bytes of one block
+        block = 8 * max(accel.CACHE_BLOCK, 1024, cells)  # int64 bytes of one block
         tracemalloc.start()
         try:
             greedy_select(qcube, gt, method, k=4)
