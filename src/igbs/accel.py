@@ -14,9 +14,9 @@ rows; where the screen leaves a query more than one train row it cannot
 rule out, it computes that exact distance expression for those rows only,
 so its answer is the one the plain broadcast gives. ``hist2d_rows`` (one
 series against a stack of rows) and ``rbf_kernel`` work in passes of at
-most CACHE_BLOCK entries, and ``rbf_kernel`` takes |b|^2 from its caller.
-``smo_solve`` forms only the kernel rows it reads, each with one
-``rbf_kernel``, and tracks its working set in two vectors whose entries
+most CACHE_BLOCK entries, and ``rbf_kernel`` takes both operands' row norms
+from its caller. ``smo_solve`` forms only the kernel rows it reads, each
+with one ``rbf_kernel``, and tracks its working set in two vectors whose entries
 change only at the two indices a step moves. Integer counts equal the
 one-pair counts exactly, and the kernel values and the solver's duals,
 bias, step count and gap are bit for bit those of the whole-array forms
@@ -60,17 +60,16 @@ def hist2d(x, y, ax, ay):
     return counts[0]
 
 
-def rbf_kernel(a, b, gamma, bb):
+def rbf_kernel(a, b, gamma, aa, bb):
     """exp(-gamma * max(0, (|a|^2 + |b|^2) - 2 a.b)) for every row pair.
 
-    ``bb`` is ``np.einsum("ij,ij->i", b, b)``, |b|^2, formed by the caller:
-    each caller forms many kernels against one ``b`` and forms it once.
-    ``a @ b.T`` stays one product (numpy hands ``a @ a.T`` to SYRK, whose
-    bits differ from GEMM's), and the rest is formed in place in it, at most
-    CACHE_BLOCK entries (or one row) at a time. Every step works entry by
-    entry, so a row gets the same bits whichever block it is formed in.
+    ``aa`` and ``bb``, |a|^2 and |b|^2, come from the caller, which forms
+    each once and slices it: a row's norm has the same bits alone or in a
+    whole array. ``a @ b.T`` stays one product (numpy hands ``a @ a.T`` to
+    SYRK, whose bits differ from GEMM's), and the rest is formed in place in
+    it, at most CACHE_BLOCK entries (or one row) at a time. Every step works
+    entry by entry, so a row gets the same bits whichever block it is formed in.
     """
-    aa = np.einsum("ij,ij->i", a, a)
     out = a @ b.T
     step = max(1, CACHE_BLOCK // max(out.shape[1], 1))
     for s in range(0, out.shape[0], step):
@@ -99,13 +98,13 @@ def nn1_index(train, test):
     the distance, since d_t = |q - t|^2 = |q|^2 + S_t. Every train row with
     S_t <= min S + slack is a candidate, and the screen's first argmin is
     one. A query whose second smallest S_t is above the limit has no other
-    candidate and takes that argmin; the rest are refined: their
-    candidates' distances are computed with the float64 broadcast
-    expression in increasing index order, so the first argmin among them is
-    bit for bit the first argmin over all train rows, provided the winner
-    t* is a candidate. The slack guarantees it. With u = 2^-24,
-    g_n = n u / (1 - n u), R = |q| + max|t| (so every d_t <= R^2) and
-    a = 2^-126, float32's smallest normal:
+    candidate and takes that argmin; the rest are refined: each takes numpy's
+    first argmin of a float64 row of its candidates' broadcast distances and
+    +inf elsewhere (a candidate's is +inf only where the limit is inf and all
+    rows are candidates, so no filler wins), which is bit for bit the first
+    argmin over all train rows if the winner t* is a candidate. The slack
+    guarantees it. With u = 2^-24, g_n = n u / (1 - n u), R = |q| + max|t|
+    (so every d_t <= R^2) and a = 2^-126, float32's smallest normal:
     - broadcast: |D_t - d_t| <= g'_(k+2) d_t with float64's g', below
       u R^2 / 2;
     - screen: q, -2t and |t|^2 (formed in float64) each round once to
@@ -132,6 +131,7 @@ def nn1_index(train, test):
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.vstack([-2.0 * train.T, tt]).astype(np.float32)
     step = max(1, QUERY_BLOCK // max(n, 1))
+    refined = np.empty(step * n)  # one buffer for every block: fresh ones fault their pages in
     for s in range(0, test.shape[0], step):
         block = test[s : s + step]
         rows = np.arange(block.shape[0])
@@ -149,10 +149,10 @@ def nn1_index(train, test):
             screen[rows, first] = low
             pairs, cand = np.nonzero(~(screen[many] > limit[many, None]))
         out[s : s + step] = first
-        d = ((block[many[pairs]] - train[cand]) ** 2).sum(axis=1)
-        # pairs come sorted by row, then by index; a stable sort on distance
-        # within each row puts the lowest-index nearest candidate first
-        out[s + many] = cand[np.lexsort((d, pairs))[pairs.searchsorted(np.arange(many.size))]]
+        dense = refined[: many.size * n].reshape(many.size, n)
+        dense.fill(np.inf)
+        dense[pairs, cand] = ((block[many[pairs]] - train[cand]) ** 2).sum(axis=1)
+        out[s + many] = dense.argmin(axis=1)
     return out
 
 
@@ -160,9 +160,9 @@ def smo_solve(x, y, gamma, c, tol, max_steps):
     """Maximal-violating-pair SMO on the RBF kernel of the rows of ``x``.
 
     Returns the duals, the bias, the step count and the final KKT gap. Row
-    t of the kernel is ``rbf_kernel(x[t : t + 1], x, gamma, xx)[0]``, formed
-    the first time the working set picks t and kept for the rest of the
-    solve; ``xx``, the |x|^2 every row needs, is formed once per solve. A
+    t of the kernel is ``rbf_kernel(x[t : t + 1], x, gamma, xx[t : t + 1], xx)[0]``,
+    formed the first time the working set picks t and kept for the rest of
+    the solve; ``xx``, the |x|^2 of every row, is formed once per solve. A
     step reads only rows i and j, eta's three entries among them, so a row
     never picked is never formed and no n x n array is held. A NaN gap (a
     kernel that overflowed) ends the solve like a closed one.
@@ -200,7 +200,7 @@ def smo_solve(x, y, gamma, c, tol, max_steps):
             break
         for t in (i, j):
             if t not in rows:
-                rows[t] = rbf_kernel(x[t : t + 1], x, gamma, xx)[0]
+                rows[t] = rbf_kernel(x[t : t + 1], x, gamma, xx[t : t + 1], xx)[0]
         ki, kj = rows[i], rows[j]
         eta = ki.item(i) + kj.item(j) - 2.0 * ki.item(j)
         if eta <= 0.0:

@@ -175,7 +175,7 @@ def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
     one-row product goes through GEMV, whose bits differ from GEMM's. Each
     block forms that one kernel and one product per class block of it with
     the class's ``coef`` rows, which gives every pair's share from that
-    class's support rows. |sv_rows|^2 is formed once, for every block.
+    class's support rows. |features|^2 and |sv_rows|^2 are formed once.
     """
     features = _features(features, "SVM features")
     if features.shape[1] != model.sv_rows.shape[1]:
@@ -191,9 +191,10 @@ def predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
     edges = (np.arange(blocks + 1) * n // blocks).tolist()
     bounds = model.bounds.tolist()
     out = np.empty(n, dtype=np.int64)
+    ff = np.einsum("ij,ij->i", features, features)
     vv = np.einsum("ij,ij->i", model.sv_rows, model.sv_rows)
     for s, e in zip(edges[:-1], edges[1:]):
-        k = accel.rbf_kernel(features[s:e], model.sv_rows, model.gamma, vv)
+        k = accel.rbf_kernel(features[s:e], model.sv_rows, model.gamma, ff[s:e], vv)
         # share[r, :, t]: class r's support rows' term in the pair (r, t)
         b = e - s
         share = np.empty((n_cls, b, n_cls))
@@ -256,8 +257,8 @@ def cohen_kappa(cm: ConfusionMatrix) -> float:
     trace = int(np.trace(cm.counts))
     chance = int((cm.counts.sum(axis=1) * cm.counts.sum(axis=0)).sum())
     denominator = total * total - chance
-    if denominator == 0:  # p_e == 1: all mass on one class on both sides
-        return 1.0 if trace == total else 0.0
+    if denominator == 0:  # p_e == 1: every count in one diagonal cell, so p_o == 1 too
+        return 1.0
     return (total * trace - chance) / denominator
 
 

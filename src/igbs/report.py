@@ -86,15 +86,15 @@ class RunConfig:
 
     @classmethod
     def from_report(cls, path: str) -> "RunConfig":
-        """Rebuild the configuration embedded in a report file."""
+        """The configuration a report embeds; a value is its line after the first " = "."""
         values: dict = {}
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 if line.startswith("table ="):
                     break
-                key, eq, value = line.partition("=")
+                key, eq, value = line.removesuffix("\n").partition(" = ")
                 if eq:
-                    values[key.strip()] = value.strip()
+                    values[key] = value
         if "method" not in values:
             raise ConfigError(f"{path} does not look like a method report")
         raw = {}

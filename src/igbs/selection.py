@@ -72,10 +72,8 @@ class SelectionState:
         self.band_sum += self.matrix[band]
 
     def pair_mi(self, i: int, j: int) -> float:
-        key = (i, j) if i < j else (j, i)
-        if key not in self._pair_mi:
-            self.fill_pair_mi(j, [i])
-        return self._pair_mi[key]
+        """MI(i; j) as ``fill_pair_mi`` cached it, the cache's one writer."""
+        return self._pair_mi[(i, j) if i < j else (j, i)]
 
     def fill_pair_mi(self, band: int, cands) -> None:
         """Cache MI(c; band) for every c of ``cands`` from one stacked count.

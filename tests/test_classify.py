@@ -312,8 +312,10 @@ class TestPredictRules:
         expected = pair.positive if pair.bias > 0 else pair.negative
         assert predict(model, far)[0] == expected
         # the kernel really has vanished at that distance
+        ff = np.einsum("ij,ij->i", far, far)
         vv = np.einsum("ij,ij->i", model.sv_rows, model.sv_rows)
-        kernel_term = accel.rbf_kernel(far, model.sv_rows, model.gamma, vv) @ model.coef.sum(axis=1)
+        kernel = accel.rbf_kernel(far, model.sv_rows, model.gamma, ff, vv)
+        kernel_term = kernel @ model.coef.sum(axis=1)
         assert kernel_term[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_vote_tie_goes_to_lowest_class(self):
@@ -352,10 +354,12 @@ class TestPredictRules:
         monkeypatch.setattr(accel, "QUERY_BLOCK", 7 * model.sv_rows.shape[0])
         kernel, sizes, norms = accel.rbf_kernel, [], []
 
-        def spy(a, b, gamma, bb=None):
+        def spy(a, b, gamma, aa, bb):
             sizes.append(len(a))
             norms.append(bb)
-            return kernel(a, b, gamma, bb)
+            # each block's query norms have the bits of its rows' own einsum
+            assert aa.tobytes() == np.einsum("ij,ij->i", a, a).tobytes()
+            return kernel(a, b, gamma, aa, bb)
 
         monkeypatch.setattr(accel, "rbf_kernel", spy)
         queries = np.random.default_rng(4).random((n, x.shape[1]))
@@ -669,6 +673,24 @@ class TestSmoSolve:
         want = self.assert_matches_oracle(rng.normal(size=(60, 3)), max_steps=max_steps)
         assert want[2] == max_steps
 
+    def test_rows_take_their_norms_from_the_solve(self, monkeypatch):
+        # each kernel row gets its slice of the one |x|^2 the solve forms
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(120, 5))
+        xx = np.einsum("ij,ij->i", x, x)
+        kernel, seen = accel.rbf_kernel, []
+
+        def spy(a, b, gamma, aa, bb):
+            (t,) = np.flatnonzero((x == a).all(axis=1))
+            assert aa.tobytes() == xx[t : t + 1].tobytes()
+            seen.append(bb)
+            return kernel(a, b, gamma, aa, bb)
+
+        monkeypatch.setattr(accel, "rbf_kernel", spy)
+        self.assert_matches_oracle(x)
+        assert len(seen) > 10 and all(bb is seen[0] for bb in seen)
+        assert seen[0].tobytes() == xx.tobytes()
+
     def test_two_rows(self):
         self.assert_matches_oracle(np.array([[0.0, 1.0], [1.0, 0.5]]))
 
@@ -703,7 +725,8 @@ class TestRbfKernel:
     """accel.rbf_kernel against the whole-array expression in tests/brute.py."""
 
     def assert_matches_oracle(self, a, b, gamma=0.25):
-        got = accel.rbf_kernel(a, b, gamma, np.einsum("ij,ij->i", b, b))
+        norms = (np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
+        got = accel.rbf_kernel(a, b, gamma, *norms)
         want = brute.rbf_kernel(a, b, gamma)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -747,12 +770,22 @@ class TestRbfKernel:
         self.assert_matches_oracle(a, a)
 
     def test_given_row_norms_keep_the_bits(self):
-        # smo_solve forms |x|^2 once per pair and passes it to every row
-        x = scaled_levels(np.random.default_rng(8), (60, 80), 16)
-        xx = np.einsum("ij,ij->i", x, x)
-        for t in (0, 17, 59):
-            got = accel.rbf_kernel(x[t : t + 1], x, 1.0 / 80, xx)
-            assert got.tobytes() == brute.rbf_kernel(x[t : t + 1], x, 1.0 / 80).tobytes()
+        # smo_solve and predict form |x|^2 once and pass slices of it: a
+        # row's norm has the same bits alone, in a slice or in the whole
+        # array, so each one-row kernel keeps the oracle's bits
+        rng = np.random.default_rng(8)
+        for rows, cols, scale in ((60, 80, 1.0), (1, 1, 1e-5), (900, 120, 1e5), (333, 7, 1e3)):
+            for x in (scale * scaled_levels(rng, (rows, cols), 16),
+                      scale * rng.normal(size=(rows, cols))):
+                xx = np.einsum("ij,ij->i", x, x)
+                for t in {0, rows // 3, rows - 1}:
+                    alone = x[t : t + 1]
+                    assert np.einsum("ij,ij->i", alone, alone).tobytes() == xx[t : t + 1].tobytes()
+                    part = x[t // 2 : (t + rows) // 2 + 1]
+                    norms = np.einsum("ij,ij->i", part, part)
+                    assert norms.tobytes() == xx[t // 2 : (t + rows) // 2 + 1].tobytes()
+                    got = accel.rbf_kernel(alone, x, 1.0 / cols, xx[t : t + 1], xx)
+                    assert got.tobytes() == brute.rbf_kernel(alone, x, 1.0 / cols).tobytes()
 
 
 class TestMetrics:
@@ -783,6 +816,13 @@ class TestMetrics:
         )
         assert overall_accuracy(cm) == pytest.approx(0.8)
         assert cohen_kappa(cm) == pytest.approx(0.6)
+
+    def test_one_class_on_both_sides_is_full_agreement(self):
+        # chance agreement p_e is 1 only when every count sits in one diagonal
+        # cell, where p_o is 1 as well: (p_o - p_e) / (1 - p_e) reads 0/0
+        assert evaluate(np.full(5, 3), np.full(5, 3)).kappa == 1.0
+        cm = ConfusionMatrix(classes=np.array([1, 2, 3]), counts=np.diag([0, 7, 0]))
+        assert cohen_kappa(cm) == 1.0
 
     def test_kappa_at_most_one_and_one_iff_diagonal(self):
         rng = np.random.default_rng(13)

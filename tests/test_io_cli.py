@@ -255,6 +255,25 @@ class TestRunCompare:
         second = Path(f"{rerun_config.out}/MIFS.report.txt").read_bytes()
         assert first == second
 
+    def test_report_keeps_the_spaces_at_a_path_edge(self, small_dataset, tmp_path, monkeypatch):
+        # from_report once stripped " sp/tiny" to "sp/tiny", another path
+        base, _, _ = small_dataset
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / " sp").mkdir()
+        cube, gt = " sp/tiny", " sp/tiny.gt.raw "
+        for src, dst in ((".hdr.json", cube + ".hdr.json"), (".raw", cube + ".raw"),
+                         (".gt.raw", gt)):
+            (tmp_path / dst).write_bytes(Path(base + src).read_bytes())
+        assert main(["classify", "--method", "MIM", "--cube", cube, "--gt", gt, "--k", "2",
+                     "--out", "first"]) == 0
+        report = (tmp_path / "first" / "MIM.report.txt").read_bytes()
+        assert b"\ncube =  sp/tiny\ngt =  sp/tiny.gt.raw \n" in report
+        config = RunConfig.from_report("first/MIM.report.txt")
+        assert (config.cube, config.gt) == (cube, gt)
+        config.out = "second"
+        pipeline.run_compare(config)
+        assert (tmp_path / "second" / "MIM.report.txt").read_bytes() == report
+
     def test_report_holds_floats_six_decimals_do_not(self, small_dataset, tmp_path, capsys):
         # svm_tol 1e-7 once printed as 0.000000, which from_report refused
         base, _, _ = small_dataset
@@ -671,6 +690,19 @@ class TestCli:
         assert code == 0
         assert "OA" in capsys.readouterr().out
 
+    def test_classify_method_failure_exits_4(self, small_dataset, tmp_path, capsys,
+                                             monkeypatch):
+        def run_method(*args):
+            raise MethodError("solver stalled")
+
+        monkeypatch.setattr(pipeline, "run_method", run_method)
+        base = small_dataset[0]
+        out = tmp_path / "o"
+        assert main(["classify", "--method", "IGBS", "--cube", base, "--gt", base + ".gt.raw",
+                     "--k", "2", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "IGBS: failed: solver stalled\n"
+        assert "\nstatus = failed\n" in (out / "IGBS.report.txt").read_text()
+
     @pytest.mark.parametrize("method, flag, selected, digest", [
         pytest.param("MIFS", "--beta=1e308", "0 1 2 3 4", "db7e63efeb84b62d", id="MIFS+"),
         pytest.param("MIFS", "--beta=-1e308", "0 2 1 3 4", "e3c0daf5c3a2e462", id="MIFS-"),
@@ -767,60 +799,115 @@ class TestCli:
         assert os.path.exists(f"{run_dir}/MIM.report.txt")
 
 
+# the bad inputs the rows of test_bad_input_exits_with_one_line read: cube
+# headers (no samples: each is refused before any is read) and CSV grids
+_BAD_FILES = {
+    "rows0.hdr.json": '{"rows": 0, "cols": 12, "bands": 8}',
+    "bil.hdr.json": '{"rows": 12, "cols": 12, "bands": 8, "interleave": "bil"}',
+    "big.hdr.json": '{"rows": 12, "cols": 12, "bands": 8, "byte_order": "big"}',
+    "norows.hdr.json": '{"cols": 12, "bands": 8}',
+    "bad.csv": "1,2\n3,x\n",
+    "shape.csv": "1,2\n3,1\n",
+}
+
+
 # Each row once ended in a traceback or in the wrong exit code. Config rows
 # run `compare` with a --config file holding only the bad field, so no flag
 # overrides it.
 @pytest.mark.parametrize(
-    "argv, config, code",
+    "argv, config, code, line",
     [
-        pytest.param(["compare"], {"k": "abc"}, 2, id="config-k-not-int"),
-        pytest.param(["compare"], {"methods": 5}, 2, id="config-methods-not-strings"),
-        pytest.param(["compare"], {"fraction": None}, 2, id="config-fraction-null"),
-        pytest.param(["compare", "--seed", "-1"], None, 2, id="seed-negative"),
-        pytest.param(["compare", "--svm-gamma", "-1"], None, 2, id="svm-gamma-negative"),
-        pytest.param(["compare", "--svm-c", "0"], None, 2, id="svm-c-zero"),
-        pytest.param(["compare", "--svm-tol", "-1"], None, 2, id="svm-tol-negative"),
-        pytest.param(["compare", "--k", "0"], None, 2, id="k-zero"),
-        pytest.param(["compare", "--levels", "1"], None, 2, id="levels-one"),
-        pytest.param(["render", "--bands", "1,abc"], None, 2, id="render-bands-not-int"),
-        pytest.param(["render", "--bands", "99"], None, 3, id="render-band-out-of-range"),
-        pytest.param(["render", "--bands", ""], None, 3, id="render-bands-empty"),
-        pytest.param(["synth", "--seed", "-3"], None, 3, id="synth-seed-negative"),
-        pytest.param(["synth"], {"seed": 1.5}, 2, id="synth-config-seed-fractional"),
-        pytest.param(["synth"], {"informative_bands": 5}, 2, id="synth-config-bands-not-list"),
-        pytest.param(["synth"], {"rows": 8.7}, 2, id="synth-config-rows-fractional"),
-        pytest.param(["synth", "--informative", "0,x"], None, 2, id="synth-informative-not-int"),
+        pytest.param(["compare"], {"k": "abc"}, 2, None, id="config-k-not-int"),
+        pytest.param(["compare"], {"methods": 5}, 2, None, id="config-methods-not-strings"),
+        pytest.param(["compare"], {"fraction": None}, 2, None, id="config-fraction-null"),
+        pytest.param(["compare", "--seed", "-1"], None, 2, None, id="seed-negative"),
+        pytest.param(["compare", "--svm-gamma", "-1"], None, 2, None, id="svm-gamma-negative"),
+        pytest.param(["compare", "--svm-c", "0"], None, 2, None, id="svm-c-zero"),
+        pytest.param(["compare", "--svm-tol", "-1"], None, 2, None, id="svm-tol-negative"),
+        pytest.param(["compare", "--k", "0"], None, 2, None, id="k-zero"),
+        pytest.param(["compare", "--levels", "1"], None, 2, None, id="levels-one"),
+        pytest.param(["render", "--bands", "1,abc"], None, 2, None, id="render-bands-not-int"),
+        pytest.param(["render", "--bands", "99"], None, 3, None, id="render-band-out-of-range"),
+        pytest.param(["render", "--bands", ""], None, 3, None, id="render-bands-empty"),
+        pytest.param(["synth", "--seed", "-3"], None, 3, None, id="synth-seed-negative"),
+        pytest.param(["synth"], {"seed": 1.5}, 2, None, id="synth-config-seed-fractional"),
+        pytest.param(["synth"], {"informative_bands": 5}, 2, None,
+                     id="synth-config-bands-not-list"),
+        pytest.param(["synth"], {"rows": 8.7}, 2, None, id="synth-config-rows-fractional"),
+        pytest.param(["synth", "--informative", "0,x"], None, 2, None,
+                     id="synth-informative-not-int"),
         pytest.param(["synth", "--rows", "4", "--cols", "4", "--bands", "3", "--classes", "2",
-                      "--informative", "0", "--separation", "1e308"], None, 3,
+                      "--informative", "0", "--separation", "1e308"], None, 3, None,
                      id="synth-separation-overflows"),
         pytest.param(["synth", "--rows", "4", "--cols", "4", "--bands", "3", "--classes", "2",
-                      "--informative", "0", "--noise-sigma", "1e308"], None, 3,
+                      "--informative", "0", "--noise-sigma", "1e308"], None, 3, None,
                      id="synth-noise-sigma-overflows"),
         pytest.param(["synth", "--rows", "4", "--cols", "4", "--bands", "3", "--classes", "2",
                       "--informative", "0", "--separation", "1e308", "--noise-sigma", "1e308"],
-                     None, 3, id="synth-both-overflow"),
-        pytest.param(["render", "--levels", "1"], None, 2, id="render-levels-one"),
-        pytest.param(["compare", "--k", "abc"], None, 2, id="k-not-int"),
-        pytest.param(["compare", "--bogus", "1"], None, 2, id="unknown-flag"),
-        pytest.param(["compare", "--beta", "nan"], None, 2, id="beta-nan"),
-        pytest.param(["compare", "--threshold", "nan"], None, 2, id="threshold-nan"),
-        pytest.param(["compare"], {"k": 8.7}, 2, id="config-k-fractional"),
-        pytest.param(["compare"], {"seed": True}, 2, id="config-seed-boolean"),
-        pytest.param(["compare", "--k", "9"], None, 2, id="compare-k-above-bands"),
-        pytest.param(["classify", "--method", "MIM", "--k", "9"], None, 2,
+                     None, 3, None, id="synth-both-overflow"),
+        pytest.param(["render", "--levels", "1"], None, 2, None, id="render-levels-one"),
+        pytest.param(["compare", "--k", "abc"], None, 2, None, id="k-not-int"),
+        pytest.param(["compare", "--bogus", "1"], None, 2, None, id="unknown-flag"),
+        pytest.param(["compare", "--beta", "nan"], None, 2, None, id="beta-nan"),
+        pytest.param(["compare", "--threshold", "nan"], None, 2, None, id="threshold-nan"),
+        pytest.param(["compare"], {"k": 8.7}, 2, None, id="config-k-fractional"),
+        pytest.param(["compare"], {"seed": True}, 2, None, id="config-seed-boolean"),
+        pytest.param(["compare", "--k", "9"], None, 2, None, id="compare-k-above-bands"),
+        pytest.param(["classify", "--method", "MIM", "--k", "9"], None, 2, None,
                      id="classify-k-above-bands"),
-        pytest.param(["compare", "--methods", "MIM,mim"], None, 2, id="methods-duplicate"),
-        pytest.param(["compare", "--fraction", "0.01"], None, 3,
+        pytest.param(["compare", "--methods", "MIM,mim"], None, 2, None, id="methods-duplicate"),
+        pytest.param(["compare", "--fraction", "0.01"], None, 3, None,
                      id="compare-fraction-trains-no-class"),
-        pytest.param(["classify", "--method", "MIM", "--fraction", "0.01"], None, 3,
+        pytest.param(["classify", "--method", "MIM", "--fraction", "0.01"], None, 3, None,
                      id="classify-fraction-trains-no-class"),
+        # rows that name --cube or --gt bring their own data flags; each
+        # pins its one stderr line ({base} is the scene, {tmp} the test's folder)
+        pytest.param(["compare", "--cube", "{tmp}/rows0", "--gt", "{base}.gt.raw"], None, 3,
+                     "data error: header dimensions must all be >= 1", id="header-rows-zero"),
+        pytest.param(["compare", "--cube", "{tmp}/bil", "--gt", "{base}.gt.raw"], None, 3,
+                     "data error: unsupported interleave 'bil'", id="header-interleave-bil"),
+        pytest.param(["compare", "--cube", "{tmp}/big", "--gt", "{base}.gt.raw"], None, 3,
+                     "data error: unsupported byte order 'big'", id="header-byte-order-big"),
+        pytest.param(["compare", "--cube", "{tmp}/norows", "--gt", "{base}.gt.raw"], None, 3,
+                     "data error: missing CubeHeader fields: ['rows']", id="header-rows-missing"),
+        pytest.param(["compare", "--cube", "{base}", "--gt", "{tmp}/bad.csv"], None, 3,
+                     "data error: cannot parse {tmp}/bad.csv: could not convert string 'x' "
+                     "to int64 at row 1, column 2.", id="gt-csv-unparsable"),
+        pytest.param(["compare", "--cube", "{base}", "--gt", "{tmp}/shape.csv"], None, 3,
+                     "data error: {tmp}/shape.csv: ground truth is 2x2, cube is 12x12",
+                     id="gt-csv-wrong-shape"),
+        pytest.param(["render", "--gt", "{base}.gt.raw"], None, 3,
+                     "data error: raw ground truth needs rows and cols from the cube",
+                     id="render-raw-gt-without-cube"),
+        pytest.param(["synth", "--informative", "1,1"], None, 3,
+                     "data error: informative bands must be distinct",
+                     id="synth-informative-twice"),
+        pytest.param(["synth", "--noise-sigma", "-1"], None, 3,
+                     "data error: noise sigma must be nonnegative",
+                     id="synth-noise-sigma-negative"),
+        pytest.param(["synth", "--rows", "0"], None, 3,
+                     "data error: rows, cols and bands must all be >= 1", id="synth-rows-zero"),
+        pytest.param(["select", "--method", "MIM", "--gt", "{base}.gt.raw"], None, 2,
+                     "config error: cube and gt paths are required", id="select-without-cube"),
+        pytest.param(["select", "--method", "MIM", "--cube", "{base}"], None, 2,
+                     "config error: cube and gt paths are required", id="select-without-gt"),
+        pytest.param(["compare"], {"classifier": 5}, 2,
+                     "config error: bad classifier: expected a string, got 5",
+                     id="config-classifier-not-string"),
+        pytest.param(["classify", "--method", "MIM,IGBS"], None, 2,
+                     "config error: --method takes one method, got 'MIM,IGBS'",
+                     id="classify-two-methods"),
     ],
 )
-def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, config, code):
+def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, config, code,
+                                      line):
     base = small_dataset[0]
-    argv = list(argv) + ["--out", str(tmp_path / "out")]
-    if argv[0] != "synth":
+    for name, text in _BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(base=base, tmp=tmp_path) for arg in argv]
+    if argv[0] != "synth" and "--cube" not in argv and "--gt" not in argv:
         argv += ["--cube", base, "--gt", base + ".gt.raw"]
+    argv += ["--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
@@ -830,6 +917,7 @@ def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, co
     err = capsys.readouterr().err
     assert err.strip() and err.count("\n") == 1
     assert "Traceback" not in err
+    assert line is None or err == line.format(tmp=tmp_path) + "\n"
     # synth writes <out>.hdr.json, <out>.raw, ... and never <out> itself
     assert not list(tmp_path.glob("out*"))
 

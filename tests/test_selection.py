@@ -596,12 +596,12 @@ class TestStackedStep:
         for c in cands:
             expected = brute.mutual_information(row_series(state, c), row_series(state, 4))
             assert state.pair_mi(c, 4).hex() == expected.hex()
-        # a miss on a state built by hand counts the one pair the same way
-        fresh = init_state(qcube, gt)
-        assert fresh.pair_mi(6, 2).hex() == brute.mutual_information(
-            row_series(fresh, 6), row_series(fresh, 2)).hex()
-        fresh.fill_pair_mi(0, [])
-        assert fresh._pair_mi.keys() == {(2, 6)}
+        # the lookup is symmetric and only reads: fill_pair_mi is the one writer
+        assert state.pair_mi(4, 0) == state.pair_mi(0, 4)
+        cached = dict(state._pair_mi)
+        with pytest.raises(KeyError):
+            state.pair_mi(6, 2)
+        assert state._pair_mi == cached
 
     @pytest.mark.parametrize("levels", [2, 4, 16, 256])
     def test_igbs_terms_have_the_one_pair_bits(self, mi_block, levels):
