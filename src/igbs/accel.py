@@ -12,7 +12,8 @@ determinism paragraph).
 ``nn1_index`` screens with one float32 matrix product per block of query
 rows; where the screen leaves a query more than one train row it cannot
 rule out, it computes that exact distance expression for those rows only,
-so its answer is the one the plain broadcast gives. ``hist2d_rows`` (one
+one query at a time, so its answer is the one the plain broadcast gives
+and its scratch is that query's candidates alone. ``hist2d_rows`` (one
 series against a stack of rows) and ``rbf_kernel`` work in passes of at
 most CACHE_BLOCK entries, and ``rbf_kernel`` takes both operands' row norms
 from its caller. ``smo_solve`` forms only the kernel rows it reads, each
@@ -98,13 +99,13 @@ def nn1_index(train, test):
     the distance, since d_t = |q - t|^2 = |q|^2 + S_t. Every train row with
     S_t <= min S + slack is a candidate, and the screen's first argmin is
     one. A query whose second smallest S_t is above the limit has no other
-    candidate and takes that argmin; the rest are refined: each takes numpy's
-    first argmin of a float64 row of its candidates' broadcast distances and
-    +inf elsewhere (a candidate's is +inf only where the limit is inf and all
-    rows are candidates, so no filler wins), which is bit for bit the first
-    argmin over all train rows if the winner t* is a candidate. The slack
-    guarantees it. With u = 2^-24, g_n = n u / (1 - n u), R = |q| + max|t|
-    (so every d_t <= R^2) and a = 2^-126, float32's smallest normal:
+    candidate and takes that argmin. The rest are refined one by one, each
+    in (candidates x k) float64 scratch: a query takes numpy's first argmin
+    of its candidates' broadcast distances, in ascending train index, which
+    is bit for bit the first argmin over all train rows if the winner t* is
+    a candidate. The slack guarantees it. With u = 2^-24,
+    g_n = n u / (1 - n u), R = |q| + max|t| (so every d_t <= R^2) and
+    a = 2^-126, float32's smallest normal:
     - broadcast: |D_t - d_t| <= g'_(k+2) d_t with float64's g', below
       u R^2 / 2;
     - screen: q, -2t and |t|^2 (formed in float64) each round once to
@@ -131,7 +132,6 @@ def nn1_index(train, test):
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.vstack([-2.0 * train.T, tt]).astype(np.float32)
     step = max(1, QUERY_BLOCK // max(n, 1))
-    refined = np.empty(step * n)  # one buffer for every block: fresh ones fault their pages in
     for s in range(0, test.shape[0], step):
         block = test[s : s + step]
         rows = np.arange(block.shape[0])
@@ -147,12 +147,11 @@ def nn1_index(train, test):
             screen[rows, first] = np.inf
             many = np.flatnonzero(~(screen.min(axis=1) > limit))
             screen[rows, first] = low
-            pairs, cand = np.nonzero(~(screen[many] > limit[many, None]))
-        out[s : s + step] = first
-        dense = refined[: many.size * n].reshape(many.size, n)
-        dense.fill(np.inf)
-        dense[pairs, cand] = ((block[many[pairs]] - train[cand]) ** 2).sum(axis=1)
-        out[s + many] = dense.argmin(axis=1)
+            out[s : s + step] = first
+            for q in many:
+                # an array, not a scalar, limit: numpy 1.x would round a scalar to float32
+                cand = np.flatnonzero(~(screen[q] > limit[q : q + 1]))
+                out[s + q] = cand[((block[q] - train[cand]) ** 2).sum(axis=1).argmin()]
     return out
 
 

@@ -51,9 +51,12 @@ def text(value) -> str:
 
 
 def path_text(value) -> str:
-    """A file system path: a string that the OS can take, so without NUL."""
+    """A file system path: a string that the OS can take, so without NUL, and
+    that a report's line holds whole, so without a line break."""
     if "\0" in text(value):
         raise ValueError(f"path contains a NUL byte: {value!r}")
+    if "\n" in value or "\r" in value:
+        raise ValueError(f"path contains a line break: {value!r}")
     return value
 
 

@@ -601,6 +601,31 @@ class TestNn1Index:
         assert not got.any()
         self.assert_matches_oracle(train, test)
 
+    def test_all_candidate_refine_holds_one_query_of_scratch(self):
+        # scaled by 1e20 the float32 screen overflows, so every train row is
+        # a candidate of every query: the refine holds one query's (600, 40)
+        # distances at a time (2 MiB peak), never a block's (600 * 600, 40)
+        rng = np.random.default_rng(12)
+        train = rng.standard_normal((600, 40)) * 1e20
+        test = rng.standard_normal((600, 40)) * 1e20
+        tracemalloc.start()
+        try:
+            got = accel.nn1_index(train, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, broadcast_nn1_index(train, test))
+        assert peak < 16 * 2**20
+
+    def test_binary_features_tie_across_small_blocks(self, monkeypatch):
+        # {0, 1} features on 5 columns: most queries tie with many train
+        # rows and are refined, in blocks of 7 query rows
+        rng = np.random.default_rng(13)
+        train = rng.integers(0, 2, size=(400, 5)).astype(np.float64)
+        test = rng.integers(0, 2, size=(300, 5)).astype(np.float64)
+        monkeypatch.setattr(accel, "QUERY_BLOCK", 7 * 400)
+        self.assert_matches_oracle(train, test)
+
     def test_queries_cross_block_boundaries(self):
         rng = np.random.default_rng(4)
         train = scaled_levels(rng, (2000, 3), 16)

@@ -16,6 +16,7 @@ from igbs import classify, cli, pipeline, raster
 from igbs.cli import main
 from igbs.datamodel import DiscreteSeries, GroundTruth, HyperCube, quantize_cube
 from igbs.errors import ConfigError, DataError, MethodError, build_record, read_json_object
+from igbs.infotheory import interaction_information
 from igbs.report import MethodOutcome, RunConfig, render_comparison, render_method_report
 from igbs.selection import init_state
 from igbs.synth import SynthSpec, generate_cube
@@ -897,6 +898,10 @@ _BAD_FILES = {
         pytest.param(["classify", "--method", "MIM,IGBS"], None, 2,
                      "config error: --method takes one method, got 'MIM,IGBS'",
                      id="classify-two-methods"),
+        pytest.param(["classify", "--method", "MIM", "--cube", "{tmp}/a\rb", "--gt",
+                      "{base}.gt.raw"], None, 2,
+                     "config error: bad cube: path contains a line break: '{tmp}/a\\rb'",
+                     id="classify-cube-line-break"),
     ],
 )
 def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, config, code,
@@ -924,13 +929,20 @@ def test_bad_input_exits_with_one_line(small_dataset, tmp_path, capsys, argv, co
 
 # A NUL byte in a configured path once crashed `compare`: in os.makedirs
 # after every method had run (out), or stat-ing the raw ground truth (gt).
-@pytest.mark.parametrize("field, value", [
-    pytest.param("cube", "scene\0", id="cube"),
-    pytest.param("gt", "scene.gt\0.raw", id="gt"),
-    pytest.param("out", "out\0b", id="out"),
+# A line break once ran, but its report read the path back cut at the break.
+@pytest.mark.parametrize("field, value, word", [
+    pytest.param("cube", "scene\0", "NUL", id="cube"),
+    pytest.param("gt", "scene.gt\0.raw", "NUL", id="gt"),
+    pytest.param("out", "out\0b", "NUL", id="out"),
+    pytest.param("cube", "sce\nne", "line break", id="cube-lf"),
+    pytest.param("cube", "sce\rne", "line break", id="cube-cr"),
+    pytest.param("gt", "scene.gt\n.raw", "line break", id="gt-lf"),
+    pytest.param("gt", "scene.gt\r.raw", "line break", id="gt-cr"),
+    pytest.param("out", "out\nb", "line break", id="out-lf"),
+    pytest.param("out", "out\rb", "line break", id="out-cr"),
 ])
 def test_nul_in_config_path_exits_2_before_reading(small_dataset, tmp_path, capsys,
-                                                   field, value):
+                                                   field, value, word):
     base = small_dataset[0]
     config = {"cube": base, "gt": base + ".gt.raw", "out": str(tmp_path / "out"),
               "k": 2, "classifier": "1nn", "methods": ["MIM"]}
@@ -939,8 +951,53 @@ def test_nul_in_config_path_exits_2_before_reading(small_dataset, tmp_path, caps
     path.write_text(json.dumps(config))
     assert main(["compare", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "NUL" in err and err.count("\n") == 1
+    assert word in err and err.count("\n") == 1
     assert not list(tmp_path.glob("out*"))
+
+
+def _from_report_text(path, text):
+    path.write_text(text)
+    return RunConfig.from_report(str(path))
+
+
+# One row per input check that no other test reaches.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda tmp: classify.train_svm(np.zeros((4, 2)), [1, 2, 1]), DataError,
+                 "features must be (n, d) with one label per row", id="svm-labels-short"),
+    pytest.param(lambda tmp: classify.knn_predict(np.zeros((3, 2)), [1, 2, 1], np.zeros((2, 3))),
+                 DataError, "train and test feature dimensions differ", id="knn-widths-differ"),
+    pytest.param(lambda tmp: classify.ConfusionMatrix(classes=np.array([1, 2]),
+                                                      counts=np.array([[1, -1], [0, 2]])),
+                 DataError, "confusion matrix must be square and nonnegative",
+                 id="confusion-negative"),
+    pytest.param(lambda tmp: HyperCube(np.zeros((2, 3))), DataError,
+                 "cube must be 3-D (bands, rows, cols), got shape (2, 3)", id="cube-2d"),
+    pytest.param(lambda tmp: GroundTruth(labels=np.array([1, 2])), DataError,
+                 "ground truth must be 2-D, got shape (2,)", id="gt-1d"),
+    pytest.param(lambda tmp: DiscreteSeries(np.array([0]), 0), DataError,
+                 "alphabet must be >= 1", id="series-alphabet-zero"),
+    pytest.param(lambda tmp: build_record(RunConfig, [], ConfigError), ConfigError,
+                 "RunConfig needs a mapping of fields, got list", id="record-not-mapping"),
+    pytest.param(lambda tmp: interaction_information(
+                     DiscreteSeries(np.array([0, 1]), 2), DiscreteSeries(np.array([0, 1]), 2),
+                     DiscreteSeries(np.array([0, 1, 1]), 2)),
+                 DataError, "series lengths differ", id="interaction-lengths-differ"),
+    pytest.param(lambda tmp: raster.series_to_grid(
+                     np.array([1, 2]), GroundTruth(labels=np.array([[1, 2], [0, 1]]))),
+                 DataError, "series length does not match the labeled pixel count",
+                 id="grid-series-short"),
+    pytest.param(lambda tmp: raster.export_map(np.array([1, 2]), str(tmp / "m.ppm")),
+                 DataError, "map grid must be 2-D", id="map-1d"),
+    pytest.param(lambda tmp: raster.export_map(np.array([[1, -1]]), str(tmp / "m.ppm")),
+                 DataError, "map grid values must be nonnegative", id="map-negative"),
+    pytest.param(lambda tmp: _from_report_text(tmp / "r.txt", "k = 3\n"), ConfigError,
+                 "{tmp}/r.txt does not look like a method report", id="report-no-method"),
+])
+def test_input_check_raises(tmp_path, call, error, message):
+    with pytest.raises(error) as excinfo:
+        call(tmp_path)
+    assert str(excinfo.value) == message.format(tmp=tmp_path)
+    assert not list(tmp_path.glob("m.ppm"))
 
 
 def test_nul_in_raster_path_is_a_data_error(small_dataset):
