@@ -13,15 +13,14 @@ determinism paragraph).
 rows; where the screen leaves a query more than one train row it cannot
 rule out, it computes that exact distance expression for those rows only,
 one query at a time, so its answer is the one the plain broadcast gives
-and its scratch is that query's candidates alone. ``hist2d_rows`` (one
-series against a stack of rows) and ``rbf_kernel`` work in passes of at
-most CACHE_BLOCK entries, and ``rbf_kernel`` takes both operands' row norms
-from its caller. ``smo_solve`` forms only the kernel rows it reads, each
-with one ``rbf_kernel``, and tracks its working set in two vectors whose entries
-change only at the two indices a step moves. Integer counts equal the
-one-pair counts exactly, and the kernel values and the solver's duals,
-bias, step count and gap are bit for bit those of the whole-array forms
-kept in ``tests/brute.py``.
+and its scratch is that query's candidates alone. ``rbf_kernel`` works in
+passes of at most CACHE_BLOCK entries, the budget by which
+``infotheory.joint_entropies`` also blocks its stacked counts, and takes
+both operands' row norms from its caller. ``smo_solve`` forms only the
+kernel rows it reads, each with one ``rbf_kernel``, and tracks its working
+set in two vectors whose entries change only at the two indices a step
+moves. The kernel values and the solver's duals, bias, step count and gap
+are bit for bit those of the whole-array forms kept in ``tests/brute.py``.
 """
 
 from __future__ import annotations
@@ -33,32 +32,12 @@ import numpy as np
 CACHE_BLOCK = 65_536
 
 
-def hist2d_rows(x, rows, ax, ay):
-    """Joint counts of ``x`` against each of ``rows``, block by block.
-
-    Yields one (b, ax, ay) int64 array per block of rows, in order, with
-    ``counts[r] == hist2d(x, row, ax, ay)`` for each row of the block. A
-    block holds at most CACHE_BLOCK symbols and CACHE_BLOCK cells, or one
-    row, and is counted by one ``np.bincount`` of the codes
-    ``r*ax*ay + x*ay + row``, which take one in-place add per block. Codes
-    are int64 whatever the symbols' dtype: ``x * ay`` would wrap in uint8.
-    """
-    cells = ax * ay
-    step = max(1, CACHE_BLOCK // max(len(x), cells))
-    offsets = np.arange(min(step, len(rows))) * cells
-    base = np.asarray(x, dtype=np.int64) * ay + offsets[:, None]
-    for s in range(0, len(rows), step):
-        block = rows[s : s + step]
-        codes = np.concatenate(block, dtype=np.int64).reshape(len(block), -1)
-        codes += base[: len(block)]
-        flat = np.bincount(codes.ravel(), minlength=len(block) * cells)
-        yield flat.reshape(len(block), ax, ay).astype(np.int64, copy=False)
-
-
 def hist2d(x, y, ax, ay):
-    """Joint counts of two symbol arrays, an (ax, ay) int64 array."""
-    (counts,) = hist2d_rows(x, [y], ax, ay)
-    return counts[0]
+    """Joint counts of two symbol arrays, an (ax, ay) int64 array, from one
+    ``np.bincount`` of the codes ``x*ay + y``, formed in int64: ``x * ay``
+    would wrap in uint8."""
+    flat = np.bincount(np.asarray(x, dtype=np.int64) * ay + y, minlength=ax * ay)
+    return flat.reshape(ax, ay).astype(np.int64, copy=False)
 
 
 def rbf_kernel(a, b, gamma, aa, bb):

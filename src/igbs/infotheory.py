@@ -6,9 +6,10 @@ frequencies with no bias correction, so every selection criterion compares
 like with like and results are deterministic. Empty cells are skipped
 (0 log 0 := 0).
 
-``entropy_rows`` takes the entropy of every row of a count block at once
-and ``joint_entropies`` feeds it the blocks of a stacked count; both give
-each row the bits the one-row estimator gives (see ``entropy_rows``).
+``joint_entropies`` counts one series against a stack of rows, block by
+block, and ``entropy_rows`` takes the entropy of every row of a block at
+once; each row gets the counts of ``accel.hist2d`` and the bits the one-row
+estimator gives (see ``entropy_rows``).
 """
 
 from __future__ import annotations
@@ -58,18 +59,31 @@ def joint_entropies(x: DiscreteSeries, rows, alphabet: int, *forms) -> np.ndarra
     """Joint entropies of ``x`` with each of ``rows`` (symbol arrays over
     ``alphabet``), one array per form.
 
-    ``accel.hist2d_rows`` counts the rows block by block, each block is
-    passed to every ``form`` (a function of the (b, x.alphabet, alphabet)
-    counts that returns (b, ...) counts, such as a transpose or a sum over
-    an axis), and the entropies of each form's rows are taken before the
-    block is dropped. Returns an array of shape (len(forms), len(rows)).
+    The rows are counted in blocks of at most ``accel.CACHE_BLOCK`` symbols
+    and ``accel.CACHE_BLOCK`` cells, or one row, each by one ``np.bincount``
+    of the codes ``r*cells + x*alphabet + row`` for the block's r-th row,
+    with ``cells = x.alphabet * alphabet``. Codes are int64 whatever the
+    symbols' dtype: ``x * alphabet`` would wrap in uint8. Each block's
+    (b, x.alphabet, alphabet) int64 counts, row r equal to
+    ``accel.hist2d(x, row, x.alphabet, alphabet)``, are passed to every
+    ``form``, which returns (b, ...) counts (such as a transpose or a sum
+    over an axis), and the entropies of each form's rows are taken before
+    the next block is counted. Returns an array of shape
+    (len(forms), len(rows)).
     """
+    cells = x.alphabet * alphabet
+    step = max(1, accel.CACHE_BLOCK // max(len(x), cells))
+    offsets = np.arange(min(step, len(rows))) * cells
+    base = np.asarray(x.symbols, dtype=np.int64) * alphabet + offsets[:, None]
     out = np.empty((len(forms), len(rows)))
-    done = 0
-    for counts in accel.hist2d_rows(x.symbols, rows, x.alphabet, alphabet):
+    for s in range(0, len(rows), step):
+        block = rows[s : s + step]
+        codes = np.concatenate(block, dtype=np.int64).reshape(len(block), -1)
+        codes += base[: len(block)]
+        flat = np.bincount(codes.ravel(), minlength=len(block) * cells)
+        counts = flat.reshape(len(block), x.alphabet, alphabet).astype(np.int64, copy=False)
         for row_out, form in zip(out, forms):
-            row_out[done : done + len(counts)] = entropy_rows(form(counts), len(x))
-        done += len(counts)
+            row_out[s : s + len(block)] = entropy_rows(form(counts), len(x))
     return out
 
 

@@ -207,21 +207,19 @@ class TestStackedCount:
         return rng.integers(0, levels, n), [rng.integers(0, levels, n) for _ in range(count)]
 
     @pytest.mark.parametrize("levels", [2, 4, 16, 256])
-    def test_counts_match_one_pair_count(self, mi_block, levels):
+    def test_counts_match_one_pair_count(self, mi_block, stacked_counts, levels):
         x, rows = self._rows(levels)
-        blocks = list(accel.hist2d_rows(x, rows, levels, levels))
-        counts = np.concatenate(blocks)
-        assert counts.dtype == np.int64
+        counts = np.concatenate(stacked_counts(series(x, levels), rows, levels))
         assert np.array_equal(counts, np.stack([brute.hist2d(x, r, levels, levels) for r in rows]))
         assert np.array_equal(accel.hist2d(x, rows[0], levels, levels),
                               brute.hist2d(x, rows[0], levels, levels))
 
-    def test_small_blocks_split_the_rows(self, monkeypatch):
+    def test_small_blocks_split_the_rows(self, monkeypatch, stacked_counts):
         monkeypatch.setattr(accel, "CACHE_BLOCK", 1000)
         x, rows = self._rows(16)
-        assert [len(b) for b in accel.hist2d_rows(x, rows, 16, 16)] == [3, 3, 3, 3, 1]
+        assert [len(b) for b in stacked_counts(series(x, 16), rows, 16)] == [3, 3, 3, 3, 1]
         # a block holds at most CACHE_BLOCK cells, or one row
-        assert [len(b) for b in accel.hist2d_rows(x, rows[:2], 16, 256)] == [1, 1]
+        assert [len(b) for b in stacked_counts(series(x, 16), rows[:2], 256)] == [1, 1]
 
     @pytest.mark.parametrize("levels", [2, 4, 16, 256])
     def test_joint_entropies_match_both_orientations(self, mi_block, levels):
@@ -242,11 +240,16 @@ class TestStackedCount:
         assert [v.hex() for v in h] == [brute.entropy_counts(
             brute.hist2d(x, r, 4, 4).ravel(), 300).hex() for r in rows]
 
-    def test_one_row_one_pixel_and_no_rows(self):
+    def test_one_row_one_pixel_and_no_rows(self, stacked_counts):
         (h,) = joint_entropies(series([2], 3), [np.array([1])], 3, lambda c: c)
         assert h[0].hex() == brute.entropy_counts(np.array([1]), 1).hex()
-        assert joint_entropies(series([0, 1], 2), [], 2, lambda c: c).shape == (1, 0)
-        assert list(accel.hist2d_rows(np.array([0, 1]), [], 2, 2)) == []
+        assert [b.tolist() for b in stacked_counts(series([2], 3), [np.array([1])], 3)] == [
+            [[[0, 0, 0], [0, 0, 0], [0, 1, 0]]]]
+        # with no rows no form is called
+        calls = []
+        h = joint_entropies(series([0, 1], 2), [], 2, calls.append, calls.append)
+        assert h.shape == (2, 0)
+        assert calls == []
 
     @pytest.mark.parametrize("levels", [2, 4, 16, 256])
     def test_entropy_rows_and_one_row_cases(self, levels):

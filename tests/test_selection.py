@@ -622,7 +622,7 @@ class TestStackedStep:
             assert score_igbs([c], state, lam=0.75)[0].hex() == score.hex()
 
     @pytest.mark.parametrize("levels", [2, 4, 16])
-    def test_summed_estimate_joint_is_the_pair_count(self, levels):
+    def test_summed_estimate_joint_is_the_pair_count(self, stacked_counts, levels):
         qcube, gt = random_instance(np.random.default_rng(levels), bands=9, n=300, levels=levels)
         state = init_state(qcube, gt)
         state.select(0)
@@ -632,7 +632,8 @@ class TestStackedStep:
         # the occupied pairs, relabelled in increasing order, as IGBS counts them
         occupied, ranks = np.unique(pair.symbols, return_inverse=True)
         rows = list(state.matrix[1:])
-        counts = np.concatenate(list(accel.hist2d_rows(ranks, rows, occupied.size, levels)))
+        counts = np.concatenate(stacked_counts(
+            DiscreteSeries(symbols=ranks, alphabet=occupied.size), rows, levels))
         joint = estimate_fold(occupied % est.alphabet, est.alphabet)(counts)
         assert joint.dtype == np.int64
         assert np.array_equal(joint, np.stack(
@@ -692,12 +693,12 @@ class TestUint8Levels:
         assert wide_series[0].symbols.dtype == np.int64
         return qcube, gt, state, wide, wide_series
 
-    def test_counts_and_pairs(self, instance):
+    def test_counts_and_pairs(self, instance, stacked_counts):
         _, _, state, wide, wide_series = instance
         for x in (0, 4):
             others = [b for b in range(len(wide)) if b != x]
-            got = np.concatenate(list(accel.hist2d_rows(state.matrix[x],
-                                                        list(state.matrix[others]), 256, 256)))
+            got = np.concatenate(stacked_counts(row_series(state, x),
+                                                list(state.matrix[others]), 256))
             want = [brute.hist2d(wide[x], wide[b], 256, 256) for b in others]
             assert np.array_equal(got, np.stack(want))
         for a, b in ((0, 1), (5, 2)):
